@@ -3,14 +3,10 @@
 canonical_form relabels a graph by iterated color refinement with
 individualization on ties and returns the lexicographically least edge
 encoding, so two graphs are isomorphic exactly when their forms agree.
-Exponential in the worst case; intended for the small graphs that appear
-as memo keys and test fixtures.
+Exponential in the worst case; intended for small graphs.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
-from typing import Sequence
 
 from .core import SimplicialGraph
 
@@ -37,8 +33,10 @@ def _encode(n, adj, colors):
     return tuple(edges)
 
 
-def canonical_edges(n: int, adj: Sequence[Sequence[int]]) -> tuple:
-    """Canonical encoding (n, edge tuple) of a graph given as adjacency lists."""
+def canonical_form(g: SimplicialGraph) -> tuple:
+    """Canonical encoding (n, edge tuple); equal exactly for isomorphic graphs."""
+    n = g.n
+    adj = [sorted(s) for s in g.neighbors]
     if n == 0:
         return (0, ())
     best = None
@@ -67,51 +65,10 @@ def canonical_edges(n: int, adj: Sequence[Sequence[int]]) -> tuple:
     return (n, best)
 
 
-def canonical_form(g: SimplicialGraph) -> tuple:
-    return canonical_edges(g.n, [sorted(s) for s in g.neighbors])
-
-
-def _match(a: SimplicialGraph, b: SimplicialGraph, order, mapping, used):
-    if len(mapping) == len(order):
-        return True
-    v = order[len(mapping)]
-    for w in range(b.n):
-        if w in used or b.degree(w) != a.degree(v):
-            continue
-        ok = True
-        for u, x in mapping.items():
-            if a.adjacent(v, u) != b.adjacent(w, x):
-                ok = False
-                break
-        if ok:
-            mapping[v] = w
-            used.add(w)
-            if _match(a, b, order, mapping, used):
-                return True
-            del mapping[v]
-            used.discard(w)
-    return False
-
-
 def are_isomorphic(a: SimplicialGraph, b: SimplicialGraph) -> bool:
-    """Isomorphism test: backtracking search for small graphs, canonical
-    forms beyond 10 vertices."""
+    """Isomorphism test: cheap invariants, then canonical forms."""
     if a.n != b.n or a.edge_count() != b.edge_count():
         return False
     if sorted(map(a.degree, range(a.n))) != sorted(map(b.degree, range(b.n))):
         return False
-    if a.n <= 10:
-        order = sorted(range(a.n), key=lambda v: -a.degree(v))
-        return _match(a, b, order, {}, set())
     return canonical_form(a) == canonical_form(b)
-
-
-def brute_force_isomorphic(a: SimplicialGraph, b: SimplicialGraph) -> bool:
-    """Permutation scan; independent oracle for the tests, keep n small."""
-    if a.n != b.n or a.edge_count() != b.edge_count():
-        return False
-    ea = {tuple(sorted(e)) for e in a.edges()}
-    for perm in permutations(range(b.n)):
-        if ea == {tuple(sorted((perm[u], perm[v]))) for u, v in b.edges()}:
-            return True
-    return False

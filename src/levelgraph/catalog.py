@@ -184,6 +184,15 @@ def build(spec: str) -> SimplicialGraph:
         raise InputError(f"unrecognized graph spec {spec!r}")
     name, raw_args = m.group(1), m.group(2)
     args = [a.strip() for a in raw_args.split(",") if a.strip()] if raw_args else []
+
+    def ints(count):
+        if len(args) != count:
+            raise InputError(f"{name} takes {count} integer argument(s), got {len(args)}")
+        try:
+            return [int(a) for a in args]
+        except ValueError:
+            raise InputError(f"{name}: arguments must be integers, got {raw_args!r}") from None
+
     if name == "octahedron":
         return octahedron()
     if name in ("16-cell", "sixteen_cell"):
@@ -191,19 +200,22 @@ def build(spec: str) -> SimplicialGraph:
     if name == "icosahedron":
         return icosahedron()
     if name == "cycle":
-        return cycle(int(args[0]))
+        return cycle(*ints(1))
     if name == "wheel":
-        return wheel(int(args[0]))
+        return wheel(*ints(1))
     if name in ("cross_polytope", "cross-polytope"):
-        return cross_polytope(int(args[0]))
+        return cross_polytope(*ints(1))
     if name == "kuhn":
-        if not args:
-            raise InputError("kuhn(<n>x<n>...[,periodic]) needs axis sizes")
-        dims = tuple(int(c) for c in args[0].split("x"))
-        periodic = len(args) > 1 and args[1] == "periodic"
+        if not args or args[1:] not in ([], ["periodic"]):
+            raise InputError(f"expected kuhn(<n>x<n>...[,periodic]), got {spec!r}")
+        try:
+            dims = tuple(int(c) for c in args[0].split("x"))
+        except ValueError:
+            raise InputError(f"kuhn axis sizes must be integers, got {args[0]!r}") from None
+        periodic = len(args) == 2
         return kuhn_grid(len(dims), dims, periodic=periodic)
     if name == "random_sphere":
-        return random_sphere(int(args[0]), int(args[1]))
+        return random_sphere(*ints(2))
     if name == "random_3_sphere":
-        return suspension(random_sphere(int(args[0]), int(args[1])))
+        return suspension(random_sphere(*ints(2)))
     raise InputError(f"unknown catalog graph {name!r}")

@@ -126,7 +126,12 @@ def _budget(args) -> Optional[int]:
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("SARD_BUDGET")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise InputError(f"SARD_BUDGET must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------- commands

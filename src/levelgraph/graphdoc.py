@@ -41,6 +41,15 @@ def _parse_rational(entry, where: str) -> Fraction:
     _fail(where, f"expected a number or 'p/q' string, got {type(entry).__name__}")
 
 
+def _parse_point(entry, where: str) -> tuple[float, ...]:
+    if isinstance(entry, list):
+        try:
+            return tuple(float(x) for x in entry)
+        except (TypeError, ValueError):
+            pass
+    _fail(where, f"expected a list of numbers, got {entry!r}")
+
+
 def loads(text: str) -> GraphDocument:
     try:
         raw = json.loads(text)
@@ -90,7 +99,9 @@ def loads(text: str) -> GraphDocument:
     if coords is not None:
         if not (isinstance(coords, list) and len(coords) == n):
             _fail("coordinates", f"expected {n} entries")
-        coords = [tuple(float(x) for x in p) for p in coords]
+        coords = [_parse_point(p, f"coordinates[{i}]") for i, p in enumerate(coords)]
+        if len({len(p) for p in coords}) > 1:
+            _fail("coordinates", "entries differ in length")
 
     graph = SimplicialGraph(n, pairs, labels=labels, coordinates=coords)
 

@@ -113,17 +113,21 @@ def interpolate_coordinates(s: LevelSurfaceGraph) -> tuple[tuple[float, ...], ..
     if g.coordinates is None:
         raise MissingCoordinates("parent graph has no coordinates")
     dim = len(g.coordinates[0])
+    # per constraint: crossing points by edge, computed once, and each vertex's side
+    cuts = [({}, values, c, [x < c for x in values]) for values, c in zip(s.functions, s.levels)]
     points = []
     for simplex in s.origin:
         crossings = []
-        for values, c in zip(s.functions, s.levels):
+        for memo, values, c, below in cuts:
             for a, b in combinations(simplex, 2):
-                fa, fb = values[a], values[b]
-                if (fa < c) == (fb < c):
+                if below[a] == below[b]:
                     continue
-                t = float((c - fa) / (fb - fa))
-                pa, pb = g.coordinates[a], g.coordinates[b]
-                crossings.append(tuple(pa[k] + t * (pb[k] - pa[k]) for k in range(dim)))
+                p = memo.get((a, b))
+                if p is None:
+                    t = float((c - values[a]) / (values[b] - values[a]))
+                    pa, pb = g.coordinates[a], g.coordinates[b]
+                    p = memo[a, b] = tuple(pa[k] + t * (pb[k] - pa[k]) for k in range(dim))
+                crossings.append(p)
         if not crossings:
             raise InputError(f"origin simplex {simplex} has no sign-changing edge")
         points.append(tuple(sum(p[k] for p in crossings) / len(crossings) for k in range(dim)))

@@ -25,6 +25,9 @@ Support = tuple[int, ...]
 
 EXTENSION_RULE = "flattened-multiset-mean"
 
+# the step by which nudge_level moves a level off a value set
+EPSILON = Fraction(1, 2 ** 64)
+
 
 @dataclass(frozen=True)
 class SardStage:
@@ -58,6 +61,14 @@ def extend_by_support(values: Sequence[Fraction],
                       supports: Sequence[Support]) -> list[Fraction]:
     """Average a vertex function over each support multiset."""
     return [sum(values[v] for v in sup) / len(sup) for sup in supports]
+
+
+def nudge_level(stage: int, level: Fraction, excluded: Sequence[Fraction]) -> Fraction:
+    """An adjust_level for sard_pipeline: step level up by EPSILON until it
+    leaves the value set (at most len(excluded) steps)."""
+    while level in excluded:
+        level += EPSILON
+    return level
 
 
 def sard_pipeline(g: SimplicialGraph, fs: Sequence[Sequence],

@@ -20,7 +20,7 @@ import numpy as np
 from .core import SimplicialGraph
 from .errors import ConvergenceFailure, InputError, ZeroOnVertex
 from .levelset import LevelSurfaceGraph, level_surface
-from .sard import SardTrace, sard_pipeline
+from .sard import SardTrace, nudge_level, sard_pipeline
 from .topology import VerificationReport, components, is_sphere
 
 
@@ -241,16 +241,8 @@ def ground_state_surface(g: SimplicialGraph, *, seed: int = 0,
         try:
             v3, _ = _rationalize(spectrum.eigenvectors[:, 2], zero_tol,
                                  True, seed + 1)
-            eps = Fraction(1, 2 ** 64)
-
-            def adjust(stage, level, excluded):
-                shifted = level
-                while shifted in excluded:
-                    shifted += eps
-                return shifted
-
             double = sard_pipeline(g, [nodal.rational, v3], [0, 0],
-                                   budget=budget, adjust_level=adjust)
+                                   budget=budget, adjust_level=nudge_level)
             double_comp = len(components(double.final))
             double_verdict = double.stages[-1].verdict
         except Exception as e:  # experimental harness: report, do not raise

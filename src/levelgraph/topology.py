@@ -9,27 +9,27 @@ A d-graph only requires every unit sphere to be a (d-1)-sphere.
 
 Searches carry an expansion budget.  When it runs out the caller receives
 the verdict "resource_limit" instead of a guess.  Definitive verdicts are
-memoized globally, keyed by the exact relabeled edge list and, for graphs
-of at most 12 vertices, by a canonical form; the exact tier only
-short-circuits repeats of the same labeled graph and never certifies
-isomorphism on its own.
+memoized globally in one tier, keyed by the exact relabeled edge list, so
+the memo only short-circuits repeats of the same labeled graph.
 
-Two theorem-backed shortcuts prune the search without changing its answer:
-graphs with a dominating vertex (cones) are contractible, and contractible
-graphs as well as spheres of dimension >= 1 are connected.
+Three theorem-backed shortcuts prune the search without changing its
+answer: graphs with a dominating vertex (cones) are contractible;
+contractible graphs as well as spheres of dimension >= 1 are connected;
+and the public entry points reject on the Euler characteristic.  Deleting
+x splits the clique complex into that of G-x and the cone over S(x), so
+chi(G) = chi(G-x) + 1 - chi(S(x)); by induction a contractible graph has
+chi = 1 and a d-sphere has chi = 1 + (-1)^d.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .canonical import canonical_edges
-from .core import SimplicialGraph
+from .core import SimplicialGraph, euler_characteristic
 
 DEFAULT_BUDGET = 10 ** 6
-_CANONICAL_LIMIT = 12
 
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
@@ -74,23 +74,12 @@ def clear_caches():
 # -- subgraph views ---------------------------------------------------------
 
 
-def _relabel(base: SimplicialGraph, active: frozenset):
-    sel = sorted(active)
-    index = {v: i for i, v in enumerate(sel)}
-    adj = [[] for _ in sel]
-    for i, v in enumerate(sel):
-        for u in base.neighbors[v]:
-            if u in active:
-                adj[i].append(index[u])
-    for row in adj:
-        row.sort()
-    return adj
-
-
 def _exact_key(base, active):
-    adj = _relabel(base, active)
-    edges = tuple((u, v) for u, row in enumerate(adj) for v in row if u < v)
-    return (len(adj), edges), adj
+    """(n, edges) of the induced subgraph relabeled to 0..n-1 in vertex order."""
+    index = {v: i for i, v in enumerate(sorted(active))}
+    edges = tuple((i, j) for v, i in index.items()
+                  for j in sorted(index[u] for u in base.neighbors[v] if u in active) if j > i)
+    return len(index), edges
 
 
 def _connected(base, active) -> bool:
@@ -126,17 +115,10 @@ def _contractible(base, active, budget) -> bool:
         return False
     if _dominating(base, active):
         return True
-    key, adj = _exact_key(base, active)
+    key = _exact_key(base, active)
     hit = _contractible_memo.get(key)
     if hit is not None:
         return hit
-    ckey = None
-    if n <= _CANONICAL_LIMIT:
-        ckey = ("iso", canonical_edges(n, adj))
-        hit = _contractible_memo.get(ckey)
-        if hit is not None:
-            _contractible_memo[key] = hit
-            return hit
     budget.spend()
     result = False
     order = sorted(active, key=lambda v: (len(base.neighbors[v] & active), v))
@@ -146,8 +128,6 @@ def _contractible(base, active, budget) -> bool:
             result = True
             break
     _contractible_memo[key] = result
-    if ckey is not None:
-        _contractible_memo[ckey] = result
     return result
 
 
@@ -155,7 +135,7 @@ def is_contractible(g: SimplicialGraph, budget: Optional[int] = None) -> Verific
     b = _Budget(DEFAULT_BUDGET if budget is None else budget)
     active = frozenset(range(g.n))
     try:
-        ok = _contractible(g, active, b)
+        ok = euler_characteristic(g) == 1 and _contractible(g, active, b)
     except _Exhausted:
         return VerificationReport("resource_limit", witness="expansion budget exhausted",
                                   expansions=b.used)
@@ -183,17 +163,10 @@ def _sphere(base, active, d, budget) -> bool:
         return False
     if d == 1:
         return n >= 4 and all(len(base.neighbors[v] & active) == 2 for v in active)
-    key, adj = _exact_key(base, active)
+    key = _exact_key(base, active)
     hit = _sphere_memo.get((key, d))
     if hit is not None:
         return hit
-    ckey = None
-    if n <= _CANONICAL_LIMIT:
-        ckey = ("iso", canonical_edges(n, adj), d)
-        hit = _sphere_memo.get(ckey)
-        if hit is not None:
-            _sphere_memo[(key, d)] = hit
-            return hit
     budget.spend()
     result = True
     for x in sorted(active):
@@ -204,8 +177,6 @@ def _sphere(base, active, d, budget) -> bool:
         order = sorted(active, key=lambda v: (len(base.neighbors[v] & active), v))
         result = any(_contractible(base, active - {x}, budget) for x in order)
     _sphere_memo[(key, d)] = result
-    if ckey is not None:
-        _sphere_memo[ckey] = result
     return result
 
 
@@ -213,7 +184,7 @@ def is_sphere(g: SimplicialGraph, d: int, budget: Optional[int] = None) -> Verif
     b = _Budget(DEFAULT_BUDGET if budget is None else budget)
     active = frozenset(range(g.n))
     try:
-        ok = _sphere(g, active, d, b)
+        ok = euler_characteristic(g) == 1 + (-1) ** d and _sphere(g, active, d, b)
     except _Exhausted:
         return VerificationReport("resource_limit", witness="expansion budget exhausted",
                                   expansions=b.used)

@@ -17,9 +17,7 @@ from typing import Optional, Sequence, Union
 from .catalog import kuhn_grid
 from .errors import InputError, UnparsablePolynomial
 from .rational import as_fraction
-from .sard import SardTrace, sard_pipeline
-
-EPSILON = Fraction(1, 2 ** 64)
+from .sard import SardTrace, nudge_level, sard_pipeline
 
 _ALIASES = ("x", "y", "z", "w")
 
@@ -157,17 +155,5 @@ def triangulate_variety(polys: Sequence[Union[str, Polynomial]],
               for idx in (grid.label_of(v) for v in range(grid.n))]
     values = [[p.evaluate(pt) for pt in points] for p in parsed]
 
-    adjust = None
-    if auto_perturb:
-        def adjust(stage, level, excluded):
-            shifted = level
-            bumps = 0
-            while shifted in excluded:
-                shifted += EPSILON
-                bumps += 1
-                if bumps > len(excluded) + 1:
-                    raise InputError("could not perturb level off the value set")
-            return shifted
-
-    return sard_pipeline(grid, values, [Fraction(0)] * len(parsed),
-                         budget=budget, adjust_level=adjust)
+    return sard_pipeline(grid, values, [Fraction(0)] * len(parsed), budget=budget,
+                         adjust_level=nudge_level if auto_perturb else None)

@@ -63,6 +63,31 @@ def test_missing_file_reports_json_error(capsys):
     assert "file.json" in rep["error"]["message"]
 
 
+OCTAHEDRON_EDGES = [[u, v] for u in range(6) for v in range(u + 1, 6) if u + v != 5]
+
+
+@pytest.mark.parametrize("graph, budget_env", [
+    pytest.param("builtin:cycle", None, id="cycle-no-arg"),
+    pytest.param("builtin:wheel(x)", None, id="wheel-non-int"),
+    pytest.param("builtin:cycle(5,6)", None, id="cycle-extra-arg"),
+    pytest.param("builtin:kuhn(4x4,periodc)", None, id="kuhn-bad-flag"),
+    pytest.param({"coordinates": [["a", 0, 0]] * 6}, None, id="coord-non-numeric"),
+    pytest.param({"coordinates": [1, 2, 3, 4, 5, 6]}, None, id="coord-scalar"),
+    pytest.param({"coordinates": [[1, 0, 0]] * 5 + [[0, 1]]}, None, id="coord-ragged"),
+    pytest.param("builtin:octahedron", "abc", id="budget-env-non-int"),
+])
+def test_malformed_input_exits_4(capsys, monkeypatch, tmp_path, graph, budget_env):
+    if isinstance(graph, dict):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": 6, "edges": OCTAHEDRON_EDGES, **graph}))
+        graph = str(path)
+    if budget_env is not None:
+        monkeypatch.setenv("SARD_BUDGET", budget_env)
+    code, rep = run(capsys, "verify", "--graph", graph)
+    assert code == 4
+    assert rep["error"]["type"] == "InputError"
+
+
 def test_argparse_errors_exit_4(capsys):
     code, _ = run(capsys, "verify", "--graph", "builtin:octahedron", "--bogus")
     assert code == 4

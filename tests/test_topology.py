@@ -6,14 +6,20 @@ Validates:
     - negative cases: wheel (disk), solid grid, disjoint circles, figure eight
     - contractibility of cones and paths, non-contractibility of cycles
     - budget exhaustion surfaces as a resource_limit verdict
+    - the Euler characteristic entry check agrees with the bare recursion
+      and rejects tori and annuli without a search
 """
+
+from itertools import combinations
 
 import pytest
 
 from levelgraph.core import SimplicialGraph, disjoint_union, join
 from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid,
-                                octahedron, random_sphere, wheel)
-from levelgraph.topology import clear_caches, components, is_contractible, is_dgraph, is_sphere
+                                octahedron, random_sphere, sixteen_cell, suspension, wheel)
+from levelgraph.refine import barycentric
+from levelgraph.topology import (_Budget, _Exhausted, _contractible, _sphere, clear_caches,
+                                 components, is_contractible, is_dgraph, is_sphere)
 
 
 def test_components():
@@ -103,3 +109,84 @@ def test_budget_large_enough_succeeds():
     r = is_sphere(octahedron(), 2, budget=10**6)
     assert r.ok
     assert r.expansions > 0
+
+
+def flag_rp2():
+    """Barycentric refinement of the 6-vertex RP^2, a flag 2-graph with chi = 1."""
+    facets = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+              (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+    faces = sorted({f for t in facets for k in (1, 2, 3) for f in combinations(t, k)})
+    index = {f: i for i, f in enumerate(faces)}
+    edges = [(index[a], index[b]) for a in faces for b in faces
+             if len(a) < len(b) and set(a) <= set(b)]
+    return SimplicialGraph(len(faces), edges)
+
+
+def annulus(k):
+    """Strip between two k-cycles a_i = i and b_i = k + i; chi = 0."""
+    edges = []
+    for i in range(k):
+        j = (i + 1) % k
+        edges += [(i, j), (k + i, k + j), (i, k + i), (i, k + j)]
+    return SimplicialGraph(2 * k, edges)
+
+
+def test_flag_rp2_fixture():
+    g = flag_rp2()
+    assert g.f_vector() == (31, 90, 60)
+    assert is_dgraph(g, 2).ok
+
+
+DIFF_BUDGET = 2000
+
+
+def _bare(check, g, *args):
+    clear_caches()
+    try:
+        ok = check(g, frozenset(range(g.n)), *args, _Budget(DIFF_BUDGET))
+    except _Exhausted:
+        return "resource_limit"
+    return "yes" if ok else "no"
+
+
+def _differential_cases():
+    base = [(octahedron(), 2), (icosahedron(), 2), (sixteen_cell(), 3)]
+    base += [(random_sphere(seed, 12), 2) for seed in (4, 5, 6)]
+    spheres = [(cross_polytope(d), d) for d in range(5)] + base
+    spheres += [(suspension(g), d + 1) for g, d in base]
+    spheres += [(barycentric(g).graph, d) for g, d in [(cycle(4), 1)] + base[:4]]
+    others = [wheel(n) for n in (5, 6, 9)]
+    others += [kuhn_grid(1, (3,)), kuhn_grid(2, (3, 2)), kuhn_grid(3, (2, 2, 1)), flag_rp2()]
+    for g, d in spheres:
+        yield g, d
+        yield g.induced(range(1, g.n)), d  # a ball: contractible, not a sphere
+    for g in others:
+        yield g, g.dimension()
+
+
+def test_euler_entry_check_agrees_with_bare_recursion():
+    decided = 0
+    for g, d in _differential_cases():
+        for bare, check, args in ((_bare(_sphere, g, d), is_sphere, (g, d)),
+                                  (_bare(_contractible, g), is_contractible, (g,))):
+            clear_caches()
+            verdict = check(*args, budget=DIFF_BUDGET).verdict
+            if bare != "resource_limit":
+                decided += 1
+                assert verdict == bare, (check.__name__, g.n, d, bare, verdict)
+    assert decided >= 60
+
+
+def test_torus_not_a_sphere_without_search():
+    torus = kuhn_grid(2, (5, 5), periodic=True)
+    clear_caches()
+    r = is_sphere(torus, 2, budget=1000)
+    assert r.verdict == "no"
+    assert r.expansions == 0
+
+
+def test_annulus_not_contractible_without_search():
+    clear_caches()
+    r = is_contractible(annulus(6))
+    assert r.verdict == "no"
+    assert r.expansions == 0

@@ -14,7 +14,8 @@ import pytest
 
 from levelgraph.errors import InputError, UnparsablePolynomial
 from levelgraph.topology import components, is_dgraph
-from levelgraph.variety import EPSILON, parse_polynomial, triangulate_variety
+from levelgraph.sard import EPSILON
+from levelgraph.variety import parse_polynomial, triangulate_variety
 
 
 def test_parse_and_evaluate():
