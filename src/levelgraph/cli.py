@@ -111,9 +111,9 @@ def _surface_block(g: SimplicialGraph) -> dict:
 
 
 def _maybe_export(graph_or_surface, args, report: dict) -> None:
-    if not getattr(args, "out", None):
+    if not args.out:
         return
-    fmt = getattr(args, "format", None) or "json"
+    fmt = args.format or "json"
     if fmt == "json":
         g = getattr(graph_or_surface, "graph", graph_or_surface)
         graphdoc.save(graphdoc.GraphDocument(g), args.out)
@@ -123,7 +123,7 @@ def _maybe_export(graph_or_surface, args, report: dict) -> None:
 
 
 def _budget(args) -> Optional[int]:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("SARD_BUDGET")
     if not env:
@@ -279,13 +279,12 @@ def _cmd_variety(args) -> tuple[dict, int]:
 
 def _cmd_spectrum(args) -> tuple[dict, int]:
     doc = _load_graph(args.graph)
-    tol = args.tol if args.tol is not None else 1e-12
-    spec = spectrum_of(doc.graph, tol=tol)
+    spec = spectrum_of(doc.graph)
     principle = eigenfunction_principle_check(doc.graph, spec)
     out = {"graph": _graph_block(doc.graph),
            "eigenvalues": [float(x) for x in spec.eigenvalues],
            "max_residual": max(spec.residuals, default=0.0),
-           "sweeps": spec.sweeps,
+           "solver": "eigh",
            "eigenfunction_principle": [
                {"vertex": v, "eigenvalue": lam, "abs_value": a}
                for v, lam, a in principle]}
@@ -364,20 +363,43 @@ def _cmd_export(args) -> tuple[dict, int]:
     return out, EXIT_OK
 
 
+_OPTIONS = {
+    "--graph": dict(required=True, help="graph document path or builtin:<name>"),
+    "--function": dict(action="append", default=[],
+                       help="named function from the document, or inline "
+                            "comma-separated rationals (repeatable, ordered)"),
+    "--level": dict(action="append", default=[], help="level as p/q (repeatable, ordered)"),
+    "--dim": dict(type=int, default=None),
+    "--k": dict(type=int, default=2, help="eigenvector index"),
+    "--seed": dict(type=int, default=None),
+    "--budget": dict(type=int, default=None),
+    "--out": dict(default=None),
+    "--format": dict(choices=["off", "obj", "json"], default=None),
+    "--periodic": dict(action="store_true"),
+    "--step": dict(default=None),
+    "--domain": dict(default=None, help='box as "a,b;a,b;..."'),
+    "--poly": dict(action="append", default=[],
+                   help="polynomial in x1..xd / x,y,z,w (repeatable)"),
+}
+
+_CUT = ("--graph", "--function", "--level")
+_EXPORT = ("--out", "--format", "--budget")  # --budget bounds the mesh export's surface check
+
+# each subcommand accepts exactly the options its handler reads
 _COMMANDS = {
-    "verify": _cmd_verify,
-    "euler": _cmd_euler,
-    "curvature": _cmd_curvature,
-    "refine": _cmd_refine,
-    "levelset": _cmd_levelset,
-    "simultaneous": _cmd_simultaneous,
-    "sard": _cmd_sard,
-    "lagrange": _cmd_lagrange,
-    "variety": _cmd_variety,
-    "spectrum": _cmd_spectrum,
-    "nodal": _cmd_nodal,
-    "ground-state": _cmd_ground_state,
-    "export": _cmd_export,
+    "verify": (_cmd_verify, ("--graph", "--dim", "--budget")),
+    "euler": (_cmd_euler, ("--graph",)),
+    "curvature": (_cmd_curvature, ("--graph",)),
+    "refine": (_cmd_refine, ("--graph", "--out")),
+    "levelset": (_cmd_levelset, _CUT + _EXPORT),
+    "simultaneous": (_cmd_simultaneous, _CUT + _EXPORT),
+    "sard": (_cmd_sard, _CUT + _EXPORT),
+    "lagrange": (_cmd_lagrange, _CUT + ("--budget",)),
+    "variety": (_cmd_variety, ("--poly", "--domain", "--step", "--periodic") + _EXPORT),
+    "spectrum": (_cmd_spectrum, ("--graph",)),
+    "nodal": (_cmd_nodal, ("--graph", "--k", "--seed") + _EXPORT),
+    "ground-state": (_cmd_ground_state, ("--graph", "--seed") + _EXPORT),
+    "export": (_cmd_export, _CUT + _EXPORT),
 }
 
 
@@ -386,38 +408,18 @@ def _build_parser() -> _Parser:
                      description="Level surfaces, curvature, Sard pipelines and "
                                  "spectra on discrete d-graphs.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in _COMMANDS:
+    for name, (_, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--graph", help="graph document path or builtin:<name>")
-        p.add_argument("--function", action="append", default=[],
-                       help="named function from the document, or inline "
-                            "comma-separated rationals (repeatable, ordered)")
-        p.add_argument("--level", action="append", default=[],
-                       help="level as p/q (repeatable, ordered)")
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--k", type=int, default=2, help="eigenvector index (nodal)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["off", "obj", "json"], default=None)
-        p.add_argument("--periodic", action="store_true")
-        p.add_argument("--step", default=None)
-        p.add_argument("--domain", default=None, help='box as "a,b;a,b;..."')
-        p.add_argument("--poly", action="append", default=[],
-                       help="polynomial in x1..xd / x,y,z,w (repeatable)")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    needs_graph = args.command != "variety"
-    if needs_graph and not args.graph:
-        print(f"levelgraph {args.command}: --graph is required", file=sys.stderr)
-        return EXIT_INPUT
     start = time.perf_counter()
     try:
-        report, code = _COMMANDS[args.command](args)
+        report, code = _COMMANDS[args.command][0](args)
     except LevelGraphError as e:
         report = {"command": args.command,
                   "error": {"type": type(e).__name__, "message": str(e)}}

@@ -91,15 +91,7 @@ class MissingCoordinates(LevelGraphError):
 
 
 class ConvergenceFailure(LevelGraphError):
-    """The eigensolver did not reach the requested tolerance."""
-
-    def __init__(self, sweeps, off_norm, tol):
-        self.sweeps = sweeps
-        self.off_norm = off_norm
-        self.tol = tol
-        super().__init__(
-            f"off-diagonal norm {off_norm:.3e} above tol {tol:.3e} after {sweeps} sweeps"
-        )
+    """The eigensolver failed, or an eigenpair residual exceeds its bound."""
 
 
 class ZeroOnVertex(LevelGraphError):

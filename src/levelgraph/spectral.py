@@ -1,8 +1,10 @@
 """Laplacian spectra, nodal regions and nodal surfaces of eigenfunctions.
 
-The eigensolver is a plain cyclic Jacobi iteration: deterministic sweep
-order, explicit zeroing of the rotated entry, convergence once the
-off-diagonal Frobenius norm drops below tol.  Eigenvectors are rationalized
+Eigenpairs come from numpy's eigh and are then put in a canonical basis:
+each cluster of (numerically) equal eigenvalues gets the Gram-Schmidt
+basis of fixed positive probe vectors projected onto it, so the returned
+vectors depend only on the eigenspaces, never on the basis the solver
+happened to pick inside a degenerate one.  Eigenvectors are rationalized
 (exact binary expansion of the floats) before level surfaces are built, so
 everything downstream stays exact.
 """
@@ -29,7 +31,6 @@ class Spectrum:
     eigenvalues: tuple[float, ...]  # ascending
     eigenvectors: np.ndarray        # column k pairs with eigenvalues[k]
     residuals: tuple[float, ...]    # per pair, against the input matrix
-    sweeps: int
 
 
 @dataclass(frozen=True)
@@ -71,71 +72,91 @@ def laplacian(g: SimplicialGraph) -> list[list[Fraction]]:
     return L
 
 
-def _offdiag_norm(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A - np.diag(np.diag(A))))
+def eigendecompose(L) -> Spectrum:
+    """Eigenpairs of a dense symmetric matrix, in the canonical basis.
 
-
-def _rotate(A: np.ndarray, V: np.ndarray, p: int, q: int) -> None:
-    apq = A[p, q]
-    tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-    if abs(tau) > 1e150:  # tau*tau would overflow; use the asymptotic angle
-        t = 0.5 / tau
-    elif tau >= 0:
-        t = 1.0 / (tau + sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
-    c = 1.0 / sqrt(1.0 + t * t)
-    s = t * c
-    for M in (A,):
-        col_p = M[:, p].copy()
-        col_q = M[:, q].copy()
-        M[:, p] = c * col_p - s * col_q
-        M[:, q] = s * col_p + c * col_q
-        row_p = M[p, :].copy()
-        row_q = M[q, :].copy()
-        M[p, :] = c * row_p - s * row_q
-        M[q, :] = s * row_p + c * row_q
-    A[p, q] = A[q, p] = 0.0
-    col_p = V[:, p].copy()
-    col_q = V[:, q].copy()
-    V[:, p] = c * col_p - s * col_q
-    V[:, q] = s * col_p + c * col_q
-
-
-def eigendecompose(L, tol: float = 1e-12, max_sweeps: int = 100) -> Spectrum:
-    """Cyclic Jacobi eigendecomposition of a dense symmetric matrix."""
-    A = np.array([[float(x) for x in row] for row in L], dtype=np.float64)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    Raises ConvergenceFailure when eigh fails or an eigenpair residual
+    exceeds 1e-8 * max(1, ||L||_inf).
+    """
+    try:
+        A = np.asarray(L, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InputError("matrix must be a square array of numbers") from None
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError("matrix must be square")
     if not np.array_equal(A, A.T):
         raise InputError("matrix must be symmetric")
-    original = A.copy()
-    V = np.eye(n)
-    sweeps = 0
-    while True:
-        off = _offdiag_norm(A)
-        if off < tol:
-            break
-        if sweeps >= max_sweeps:
-            raise ConvergenceFailure(sweeps, off, tol)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if A[p, q] != 0.0:
-                    _rotate(A, V, p, q)
-        sweeps += 1
-    order = np.argsort(np.diag(A), kind="stable")
-    eigenvalues = tuple(float(A[i, i]) for i in order)
-    vectors = V[:, order]
-    residuals = tuple(
-        float(np.linalg.norm(original @ vectors[:, k] - eigenvalues[k] * vectors[:, k]))
-        for k in range(n))
-    return Spectrum(eigenvalues, vectors, residuals, sweeps)
+    try:
+        w, U = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as e:
+        raise ConvergenceFailure(f"eigh failed: {e}") from None
+    eigenvalues = tuple(float(x) for x in w)
+    vectors = _canonical_basis(eigenvalues, U)
+    residuals = tuple(float(x) for x in np.linalg.norm(A @ vectors - vectors * w, axis=0))
+    bound = 1e-8 * max(1.0, float(np.abs(A).sum(axis=1).max(initial=0.0)))
+    worst = max(residuals, default=0.0)
+    if not worst <= bound:
+        raise ConvergenceFailure(f"eigenpair residual {worst:.3e} above bound {bound:.3e}")
+    return Spectrum(eigenvalues, vectors, residuals)
 
 
-def spectrum_of(g: SimplicialGraph, tol: float = 1e-12,
-                max_sweeps: int = 100) -> Spectrum:
-    return eigendecompose(laplacian(g), tol=tol, max_sweeps=max_sweeps)
+_PHI = (sqrt(5) - 1) / 2
+
+
+def _probe(n: int, j: int) -> np.ndarray:
+    """Probe j: entries frac((i+1)(j+1)phi + (i+1)/sqrt 2) + 1/2, all in [1/2, 3/2)."""
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return np.modf(i * ((j + 1) * _PHI) + i / sqrt(2))[0] + 0.5
+
+
+def _canonical_basis(eigenvalues: Sequence[float], U: np.ndarray) -> np.ndarray:
+    """An orthonormal eigenbasis that depends only on the eigenspaces of U.
+
+    Eigenvalues whose consecutive gaps are at most 1e-8 * max(1, |lambda|)
+    form one cluster.  The fixed positive probes are projected onto each
+    cluster in order and Gram-Schmidt keeps each residual of norm above
+    1e-6 until the cluster is spanned, so a kept vector v has
+    <v, probe> = |v|^2 > 0 against its own probe and needs no sign rule.
+    Coordinate vectors e_i would not do as probes: their projections
+    vanish on whole vertex sets (e_0 onto the octahedron's lambda=4 space
+    is (e_0 - e_5)/2), which puts nodal surfaces through vertices.
+    """
+    n = U.shape[0]
+    V = np.empty_like(U)
+    start = 0
+    while start < n:
+        stop = start + 1
+        while (stop < n and eigenvalues[stop] - eigenvalues[stop - 1]
+               <= 1e-8 * max(1.0, abs(eigenvalues[stop - 1]), abs(eigenvalues[stop]))):
+            stop += 1
+        Q = U[:, start:stop]
+        m = stop - start
+        kept: list[np.ndarray] = []  # orthonormal, in the cluster's coordinates
+        for j in range(m + n):
+            r = Q.T @ _probe(n, j)
+            for b in kept:
+                r -= (b @ r) * b
+            norm = float(np.linalg.norm(r))
+            if norm > 1e-6:
+                kept.append(r / norm)
+                if len(kept) == m:
+                    break
+        if len(kept) < m:  # pragma: no cover - the probes span R^n in practice
+            raise ConvergenceFailure(
+                f"probes span {len(kept)} of {m} dimensions at eigenvalue "
+                f"{eigenvalues[start]:.6g}")
+        V[:, start:stop] = Q @ np.column_stack(kept)
+        start = stop
+    return V
+
+
+def spectrum_of(g: SimplicialGraph) -> Spectrum:
+    """Spectrum of the graph Laplacian D - A."""
+    L = np.zeros((g.n, g.n))
+    for v, nbrs in enumerate(g.neighbors):
+        L[v, list(nbrs)] = -1.0
+        L[v, v] = len(nbrs)
+    return eigendecompose(L)
 
 
 def signed_components(g: SimplicialGraph, values: Sequence[float],
@@ -180,10 +201,10 @@ def nodal_report(g: SimplicialGraph, k: int, zero_tol: float = 1e-9, *,
     """
     if k < 2:
         raise InputError("k must be at least 2 (k=1 is the constant eigenvector)")
-    if spectrum is None:
-        spectrum = spectrum_of(g)
     if k > g.n:
         raise InputError(f"k={k} exceeds {g.n} eigenvectors")
+    if spectrum is None:
+        spectrum = spectrum_of(g)
     vec = tuple(float(x) for x in spectrum.eigenvectors[:, k - 1])
     zero_vertices = tuple(v for v in range(g.n) if abs(vec[v]) <= zero_tol)
     pos_comp, neg_comp = signed_components(g, vec, zero_tol)

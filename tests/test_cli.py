@@ -97,6 +97,36 @@ def test_argparse_errors_exit_4(capsys):
     assert code == 4
 
 
+OCTAHEDRON = ("--graph", "builtin:octahedron")
+LEVELSET = ("levelset", *OCTAHEDRON, "--function", "1,2,3,4,5,6", "--level", "7/2")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(LEVELSET + ("--poly", "junk"), id="levelset-poly"),
+    pytest.param(LEVELSET + ("--k", "99"), id="levelset-k"),
+    pytest.param(("verify", *OCTAHEDRON, "--seed", "1"), id="verify-seed"),
+    pytest.param(("euler", *OCTAHEDRON, "--out", "x.json"), id="euler-out"),
+    pytest.param(("spectrum", *OCTAHEDRON, "--budget", "5"), id="spectrum-budget"),
+    pytest.param(("spectrum", *OCTAHEDRON, "--tol", "1e300"), id="spectrum-tol"),
+    pytest.param(("nodal", *OCTAHEDRON, "--dim", "2"), id="nodal-dim"),
+    pytest.param(("ground-state", *OCTAHEDRON, "--k", "3"), id="ground-state-k"),
+    pytest.param(("export", *OCTAHEDRON, "--out", "x.off", "--periodic"), id="export-periodic"),
+    pytest.param(("variety", *OCTAHEDRON, "--poly", "x^2+y^2-2", "--domain", "-2,2;-2,2",
+                  "--step", "1/2"), id="variety-graph"),
+])
+def test_foreign_flag_exits_4(capsys, argv):
+    code, rep = run(capsys, *argv)
+    assert code == 4 and rep is None
+
+
+def test_spectrum_octahedron(capsys):
+    code, rep = run(capsys, "spectrum", *OCTAHEDRON)
+    assert code == 0
+    assert all(abs(a - b) < 1e-8 for a, b in zip(rep["eigenvalues"], [0, 4, 4, 4, 6, 6]))
+    assert len(rep["eigenvalues"]) == 6
+    assert rep["solver"] == "eigh" and rep["max_residual"] < 1e-8
+
+
 def test_levelset_inline_function(capsys):
     code, rep = run(capsys, "levelset", "--graph", "builtin:octahedron",
                     "--function", "1,2,3,4,5,6", "--level", "5/2")

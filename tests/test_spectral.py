@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levelgraph.catalog import cross_polytope, octahedron, wheel
+from levelgraph import spectral
+from levelgraph.catalog import cross_polytope, icosahedron, octahedron, wheel
 from levelgraph.core import SimplicialGraph, disjoint_union
 from levelgraph.errors import ConvergenceFailure, InputError, ZeroOnVertex
+from levelgraph.refine import barycentric
 from levelgraph.spectral import (eigendecompose, eigenfunction_principle_check,
                                  ground_state_surface, laplacian, nodal_report,
                                  spectrum_of)
@@ -120,9 +122,60 @@ def test_k_validation():
         nodal_report(octahedron(), 7)
 
 
-def test_convergence_failure():
-    with pytest.raises(ConvergenceFailure):
-        eigendecompose(laplacian(octahedron()), max_sweeps=0)
+def test_convergence_failure(monkeypatch):
+    # a basis that is not an eigenbasis trips the residual guard
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(spectral.np.linalg, "eigh",
+                        lambda A: (real_eigh(A)[0], np.eye(len(A))))
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        eigendecompose(laplacian(octahedron()))
+
+    def fail(A):
+        raise np.linalg.LinAlgError("did not converge")
+    monkeypatch.setattr(spectral.np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceFailure, match="eigh failed"):
+        spectrum_of(octahedron())
+
+
+def _clusters(w):
+    """[start, stop) ranges of eigenvalues grouped by the spectral module's gap rule."""
+    bounds = [0] + [k for k in range(1, len(w))
+                    if w[k] - w[k - 1] > 1e-8 * max(1.0, abs(w[k - 1]), abs(w[k]))]
+    return list(zip(bounds, bounds[1:] + [len(w)]))
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(octahedron, id="octahedron"),
+    pytest.param(lambda: cross_polytope(3), id="16-cell"),
+    pytest.param(lambda: wheel(7), id="wheel7"),
+    pytest.param(icosahedron, id="icosahedron"),
+    pytest.param(lambda: cross_polytope(4), id="cross-polytope4"),
+    pytest.param(lambda: barycentric(octahedron()).graph, id="barycentric-octahedron"),
+    pytest.param(lambda: barycentric(cross_polytope(3)).graph, id="barycentric-16-cell"),
+    pytest.param(lambda: barycentric(icosahedron()).graph, id="barycentric-icosahedron"),
+    pytest.param(lambda: disjoint_union(octahedron(), wheel(7)), id="octahedron+wheel7"),
+])
+def test_basis_independent_of_solver(monkeypatch, graph):
+    g = graph()
+    want = spectrum_of(g)
+    real_eigh = np.linalg.eigh
+    rng = np.random.default_rng(7)
+
+    def mixed_eigh(A):
+        w, U = real_eigh(A)
+        U = U.copy()
+        for start, stop in _clusters(w):
+            R, _ = np.linalg.qr(rng.standard_normal((stop - start, stop - start)))
+            U[:, start:stop] = U[:, start:stop] @ R
+        return w, U
+
+    monkeypatch.setattr(spectral.np.linalg, "eigh", mixed_eigh)
+    got = spectrum_of(g)
+    assert got.eigenvalues == want.eigenvalues
+    assert np.abs(got.eigenvectors - want.eigenvectors).max() < 1e-9
+    V = got.eigenvectors
+    assert np.abs(V.T @ V - np.eye(g.n)).max() < TOL
+    assert max(got.residuals) < TOL
 
 
 def test_non_symmetric_rejected():
