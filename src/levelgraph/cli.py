@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -62,6 +63,18 @@ def _load_graph(spec: str) -> graphdoc.GraphDocument:
         return graphdoc.load(spec)
     except FileNotFoundError:
         raise InputError(f"graph file not found: {spec}") from None
+    except OSError as e:
+        raise InputError(f"cannot read graph file {spec}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"graph file is not UTF-8 text: {spec}") from None
+
+
+@contextmanager
+def _writing(path: str):
+    try:
+        yield
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _function_values(doc: graphdoc.GraphDocument, name: str) -> list[Fraction]:
@@ -110,28 +123,37 @@ def _surface_block(g: SimplicialGraph) -> dict:
     return block
 
 
+def _export(graph_or_surface, fmt: str, args) -> None:
+    with _writing(args.out):
+        if fmt == "json":
+            g = getattr(graph_or_surface, "graph", graph_or_surface)
+            graphdoc.save(graphdoc.GraphDocument(g), args.out)
+        else:
+            export_mesh(graph_or_surface, fmt, args.out, budget=args.budget)
+
+
 def _maybe_export(graph_or_surface, args, report: dict) -> None:
     if not args.out:
         return
-    fmt = args.format or "json"
-    if fmt == "json":
-        g = getattr(graph_or_surface, "graph", graph_or_surface)
-        graphdoc.save(graphdoc.GraphDocument(g), args.out)
-    else:
-        export_mesh(graph_or_surface, fmt, args.out, budget=args.budget)
+    _export(graph_or_surface, args.format or "json", args)
     report["out"] = args.out
 
 
 def _budget(args) -> Optional[int]:
+    """The --budget flag, else SARD_BUDGET, else None (the library default)."""
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SARD_BUDGET")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"SARD_BUDGET must be an integer, got {env!r}") from None
+        budget = args.budget
+    else:
+        env = os.environ.get("SARD_BUDGET")
+        if not env:
+            return None
+        try:
+            budget = int(env)
+        except ValueError:
+            raise InputError(f"SARD_BUDGET must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise InputError(f"budget must not be negative, got {budget}")
+    return budget
 
 
 # ---------------------------------------------------------------- commands
@@ -139,7 +161,7 @@ def _budget(args) -> Optional[int]:
 def _cmd_verify(args) -> tuple[dict, int]:
     doc = _load_graph(args.graph)
     dim = args.dim if args.dim is not None else doc.graph.dimension()
-    report = is_dgraph(doc.graph, dim, budget=_budget(args))
+    report = is_dgraph(doc.graph, dim, budget=args.budget)
     out = {"graph": _graph_block(doc.graph), "dimension": dim,
            "verification": _verdict_block(report)}
     return out, _verdict_exit(report)
@@ -167,7 +189,8 @@ def _cmd_refine(args) -> tuple[dict, int]:
     if args.out:
         values = {name: extend_function(vals, refined)
                   for name, vals in doc.values.items()}
-        graphdoc.save(graphdoc.GraphDocument(refined.graph, values), args.out)
+        with _writing(args.out):
+            graphdoc.save(graphdoc.GraphDocument(refined.graph, values), args.out)
         out["out"] = args.out
     return out, EXIT_OK
 
@@ -179,7 +202,7 @@ def _cmd_levelset(args) -> tuple[dict, int]:
     f = _function_values(doc, args.function[0])
     c = as_fraction(args.level[0])
     surface = level_surface(doc.graph, f, c)
-    verdict = is_dgraph(surface.graph, doc.graph.dimension() - 1, budget=_budget(args))
+    verdict = is_dgraph(surface.graph, doc.graph.dimension() - 1, budget=args.budget)
     out = {"graph": _graph_block(doc.graph), "level": _rat(c),
            "surface": _surface_block(surface.graph),
            "verification": _verdict_block(verdict)}
@@ -195,7 +218,7 @@ def _cmd_simultaneous(args) -> tuple[dict, int]:
     cs = [as_fraction(c) for c in args.level]
     locus = simultaneous_locus(doc.graph, fs, cs)
     verdict = is_dgraph(locus.graph, doc.graph.dimension() - len(fs),
-                        budget=_budget(args))
+                        budget=args.budget)
     out = {"graph": _graph_block(doc.graph),
            "levels": [_rat(c) for c in cs],
            "locus": _surface_block(locus.graph),
@@ -210,7 +233,7 @@ def _cmd_sard(args) -> tuple[dict, int]:
         raise InputError("sard needs matching --function/--level lists")
     fs = [_function_values(doc, name) for name in args.function]
     cs = [as_fraction(c) for c in args.level]
-    trace = sard_pipeline(doc.graph, fs, cs, budget=_budget(args))
+    trace = sard_pipeline(doc.graph, fs, cs, budget=args.budget)
     stages = []
     for s in trace.stages:
         stages.append({
@@ -246,7 +269,7 @@ def _cmd_lagrange(args) -> tuple[dict, int]:
                "per_simplex": strong_injectivity_check(doc.graph, fs, "per_simplex").passed,
            }}
     if len(fs) == 2 and doc.graph.dimension() == 2:
-        cands = lagrange_candidates(doc.graph, fs[0], fs[1], budget=_budget(args))
+        cands = lagrange_candidates(doc.graph, fs[0], fs[1], budget=args.budget)
         out["candidates"] = [list(t) for t in cands]
     return out, EXIT_OK
 
@@ -265,7 +288,7 @@ def _cmd_variety(args) -> tuple[dict, int]:
             raise InputError(f"domain axis {i}: expected \"lo,hi\", got {axis!r}")
         box.append((as_fraction(parts[0]), as_fraction(parts[1])))
     trace = triangulate_variety(args.poly, box, as_fraction(args.step),
-                                periodic=args.periodic, budget=_budget(args))
+                                periodic=args.periodic, budget=args.budget)
     stages = [{"stage": s.function_index, "level": _rat(s.level),
                "perturbed": s.perturbed,
                "surface": _surface_block(s.surface.graph),
@@ -316,7 +339,7 @@ def _cmd_nodal(args) -> tuple[dict, int]:
 def _cmd_ground_state(args) -> tuple[dict, int]:
     doc = _load_graph(args.graph)
     gs = ground_state_surface(doc.graph, seed=args.seed if args.seed is not None else 0,
-                              budget=_budget(args))
+                              budget=args.budget)
     out = {"graph": _graph_block(doc.graph),
            "spectral_gap": gs.gap,
            "nodal": {
@@ -353,11 +376,7 @@ def _cmd_export(args) -> tuple[dict, int]:
         target = level_surface(doc.graph, f, as_fraction(args.level[0]))
         out["surface"] = _surface_block(target.graph)
     fmt = args.format or "obj"
-    if fmt == "json":
-        g = getattr(target, "graph", target)
-        graphdoc.save(graphdoc.GraphDocument(g), args.out)
-    else:
-        export_mesh(target, fmt, args.out, budget=_budget(args))
+    _export(target, fmt, args)
     out["out"] = args.out
     out["format"] = fmt
     return out, EXIT_OK
@@ -418,8 +437,11 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
+    handler, options = _COMMANDS[args.command]
     try:
-        report, code = _COMMANDS[args.command][0](args)
+        if "--budget" in options:
+            args.budget = _budget(args)
+        report, code = handler(args)
     except LevelGraphError as e:
         report = {"command": args.command,
                   "error": {"type": type(e).__name__, "message": str(e)}}

@@ -12,13 +12,22 @@ the verdict "resource_limit" instead of a guess.  Definitive verdicts are
 memoized globally in one tier, keyed by the exact relabeled edge list, so
 the memo only short-circuits repeats of the same labeled graph.
 
-Three theorem-backed shortcuts prune the search without changing its
-answer: graphs with a dominating vertex (cones) are contractible;
-contractible graphs as well as spheres of dimension >= 1 are connected;
-and the public entry points reject on the Euler characteristic.  Deleting
-x splits the clique complex into that of G-x and the cone over S(x), so
-chi(G) = chi(G-x) + 1 - chi(S(x)); by induction a contractible graph has
-chi = 1 and a d-sphere has chi = 1 + (-1)^d.
+Theorem-backed shortcuts prune the search without changing its answer:
+
+- Graphs with a dominating vertex (cones) are contractible.
+- Contractible graphs and spheres of dimension >= 1 are connected.  The
+  contractibility search expects connected input and checks each S(x) it
+  recurses into; G-x needs no check, since a contractible S(x) is nonempty
+  and connected.
+- The public entry points reject on the Euler characteristic.  Deleting x
+  splits the clique complex into that of G-x and the cone over S(x), so
+  chi(G) = chi(G-x) + 1 - chi(S(x)); by induction a contractible graph has
+  chi = 1 and a d-sphere has chi = 1 + (-1)^d.
+- 2-spheres are decided without a search, for one expansion: a connected
+  graph whose unit spheres are all circles (cycles of length >= 4) is a
+  closed surface, and by the classification of closed surfaces it is a
+  2-sphere iff chi = 2.  Each edge then lies in exactly two triangles, so
+  chi = V - E/3.  No memo entry is stored for it.
 """
 
 from __future__ import annotations
@@ -89,12 +98,25 @@ def _connected(base, active) -> bool:
     seen = {start}
     stack = [start]
     while stack:
-        v = stack.pop()
-        for u in base.neighbors[v]:
-            if u in active and u not in seen:
-                seen.add(u)
-                stack.append(u)
+        new = (base.neighbors[stack.pop()] & active) - seen
+        seen |= new
+        stack.extend(new)
     return len(seen) == len(active)
+
+
+def _circle(base, active) -> bool:
+    """Whether the nonempty induced subgraph is one cycle through all of it."""
+    start = next(iter(active))
+    prev, v = None, start
+    for step in range(1, len(active) + 1):
+        around = base.neighbors[v] & active
+        if len(around) != 2:
+            return False
+        a, b = around
+        prev, v = v, (b if a == prev else a)
+        if v == start:
+            return step == len(active)
+    return False
 
 
 def _dominating(base, active) -> bool:
@@ -106,13 +128,12 @@ def _dominating(base, active) -> bool:
 
 
 def _contractible(base, active, budget) -> bool:
+    """Contractibility of a connected induced subgraph."""
     n = len(active)
     if n == 0:
         return False
     if n == 1:
         return True
-    if not _connected(base, active):
-        return False
     if _dominating(base, active):
         return True
     key = _exact_key(base, active)
@@ -124,7 +145,9 @@ def _contractible(base, active, budget) -> bool:
     order = sorted(active, key=lambda v: (len(base.neighbors[v] & active), v))
     for x in order:
         sphere = base.neighbors[x] & active
-        if _contractible(base, sphere, budget) and _contractible(base, active - {x}, budget):
+        # a contractible S(x) is nonempty and connected, so G-x stays connected
+        if (_connected(base, sphere) and _contractible(base, sphere, budget)
+                and _contractible(base, active - {x}, budget)):
             result = True
             break
     _contractible_memo[key] = result
@@ -135,7 +158,8 @@ def is_contractible(g: SimplicialGraph, budget: Optional[int] = None) -> Verific
     b = _Budget(DEFAULT_BUDGET if budget is None else budget)
     active = frozenset(range(g.n))
     try:
-        ok = euler_characteristic(g) == 1 and _contractible(g, active, b)
+        ok = (euler_characteristic(g) == 1 and _connected(g, active)
+              and _contractible(g, active, b))
     except _Exhausted:
         return VerificationReport("resource_limit", witness="expansion budget exhausted",
                                   expansions=b.used)
@@ -159,10 +183,19 @@ def _sphere(base, active, d, budget) -> bool:
             return False
         a, b = sorted(active)
         return b not in base.neighbors[a]
+    if d == 1:
+        return n >= 4 and _circle(base, active)
     if not _connected(base, active):
         return False
-    if d == 1:
-        return n >= 4 and all(len(base.neighbors[v] & active) == 2 for v in active)
+    if d == 2:  # a connected closed surface is a 2-sphere iff chi = 2
+        budget.spend()
+        twice_edges = 0
+        for v in active:
+            link = base.neighbors[v] & active
+            if not _sphere(base, link, 1, budget):
+                return False
+            twice_edges += len(link)
+        return n - twice_edges // 6 == 2
     key = _exact_key(base, active)
     hit = _sphere_memo.get((key, d))
     if hit is not None:
@@ -173,7 +206,7 @@ def _sphere(base, active, d, budget) -> bool:
         if not _sphere(base, base.neighbors[x] & active, d - 1, budget):
             result = False
             break
-    if result:
+    if result:  # G and every S(x) are connected, so every G-x is connected
         order = sorted(active, key=lambda v: (len(base.neighbors[v] & active), v))
         result = any(_contractible(base, active - {x}, budget) for x in order)
     _sphere_memo[(key, d)] = result

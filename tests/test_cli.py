@@ -5,11 +5,14 @@ exhausted, 4 bad input (including argparse errors, remapped from the
 stock exit 2 to avoid colliding with the verdict code).
 """
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from levelgraph.cli import main
+from levelgraph.cli import _COMMANDS, _OPTIONS, main
 from levelgraph.topology import clear_caches
 
 CAP_F = "5,-1,-2,-3,-4,-6,-7,-8"
@@ -48,6 +51,15 @@ def test_budget_flag_gives_exit_3(capsys):
     assert rep["verification"]["verdict"] == "resource_limit"
 
 
+def test_budget_counts_one_expansion_per_two_sphere(capsys):
+    # the 16-cell's eight unit spheres are octahedra, one expansion each
+    clear_caches()
+    code, rep = run(capsys, "verify", "--graph", "builtin:16-cell", "--budget", "8")
+    assert code == 0 and rep["verification"]["expansions"] == 8
+    code, rep = run(capsys, "verify", "--graph", "builtin:16-cell", "--budget", "7")
+    assert code == 3 and rep["verification"]["verdict"] == "resource_limit"
+
+
 def test_budget_env_var(capsys, monkeypatch):
     clear_caches()
     monkeypatch.setenv("SARD_BUDGET", "0")
@@ -66,24 +78,48 @@ def test_missing_file_reports_json_error(capsys):
 OCTAHEDRON_EDGES = [[u, v] for u in range(6) for v in range(u + 1, 6) if u + v != 5]
 
 
-@pytest.mark.parametrize("graph, budget_env", [
-    pytest.param("builtin:cycle", None, id="cycle-no-arg"),
-    pytest.param("builtin:wheel(x)", None, id="wheel-non-int"),
-    pytest.param("builtin:cycle(5,6)", None, id="cycle-extra-arg"),
-    pytest.param("builtin:kuhn(4x4,periodc)", None, id="kuhn-bad-flag"),
-    pytest.param({"coordinates": [["a", 0, 0]] * 6}, None, id="coord-non-numeric"),
-    pytest.param({"coordinates": [1, 2, 3, 4, 5, 6]}, None, id="coord-scalar"),
-    pytest.param({"coordinates": [[1, 0, 0]] * 5 + [[0, 1]]}, None, id="coord-ragged"),
-    pytest.param("builtin:octahedron", "abc", id="budget-env-non-int"),
+MISSING_DIR = "<missing>/x"  # a path under a directory that does not exist
+
+
+@pytest.mark.parametrize("graph, budget_env, argv", [
+    pytest.param("builtin:cycle", None, ("verify",), id="cycle-no-arg"),
+    pytest.param("builtin:wheel(x)", None, ("verify",), id="wheel-non-int"),
+    pytest.param("builtin:cycle(5,6)", None, ("verify",), id="cycle-extra-arg"),
+    pytest.param("builtin:kuhn(4x4,periodc)", None, ("verify",), id="kuhn-bad-flag"),
+    pytest.param({"coordinates": [["a", 0, 0]] * 6}, None, ("verify",), id="coord-non-numeric"),
+    pytest.param({"coordinates": [1, 2, 3, 4, 5, 6]}, None, ("verify",), id="coord-scalar"),
+    pytest.param({"coordinates": [[1, 0, 0]] * 5 + [[0, 1]]}, None, ("verify",),
+                 id="coord-ragged"),
+    pytest.param("builtin:octahedron", "abc", ("verify",), id="budget-env-non-int"),
+    pytest.param("builtin:octahedron", "-1", ("verify",), id="budget-env-negative"),
+    pytest.param("builtin:octahedron", None, ("verify", "--budget", "-1"),
+                 id="budget-flag-negative"),
+    pytest.param("builtin:octahedron", None, ("nodal", "--budget", "-1"),
+                 id="budget-flag-negative-unused"),
+    pytest.param(None, None, ("verify",), id="graph-is-directory"),
+    pytest.param(b"\xff\xfe{}", None, ("verify",), id="graph-not-utf8"),
+    pytest.param("builtin:octahedron", None, ("refine", "--out", MISSING_DIR),
+                 id="refine-out-missing-dir"),
+    pytest.param("builtin:octahedron", None, ("export", "--out", MISSING_DIR),
+                 id="export-out-missing-dir"),
+    pytest.param("builtin:octahedron", None, ("levelset", "--function", "1,2,3,4,5,6",
+                                              "--level", "5/2", "--out", MISSING_DIR),
+                 id="levelset-out-missing-dir"),
 ])
-def test_malformed_input_exits_4(capsys, monkeypatch, tmp_path, graph, budget_env):
-    if isinstance(graph, dict):
-        path = tmp_path / "graph.json"
+def test_malformed_input_exits_4(capsys, monkeypatch, tmp_path, graph, budget_env, argv):
+    path = tmp_path / "graph.json"
+    if graph is None:
+        graph = str(tmp_path)
+    elif isinstance(graph, bytes):
+        path.write_bytes(graph)
+        graph = str(path)
+    elif isinstance(graph, dict):
         path.write_text(json.dumps({"vertices": 6, "edges": OCTAHEDRON_EDGES, **graph}))
         graph = str(path)
     if budget_env is not None:
         monkeypatch.setenv("SARD_BUDGET", budget_env)
-    code, rep = run(capsys, "verify", "--graph", graph)
+    rest = [a.replace("<missing>", str(tmp_path / "missing")) for a in argv[1:]]
+    code, rep = run(capsys, argv[0], "--graph", graph, *rest)
     assert code == 4
     assert rep["error"]["type"] == "InputError"
 
@@ -264,3 +300,66 @@ def test_ground_state_16_cell(capsys):
     assert rep["sphere_verification"]["verdict"] == "yes"
     assert rep["double_nodal"]["verification"]["verdict"] == "yes"
     assert rep["double_nodal"]["error"] is None
+
+
+def test_cli_contract_holds_for_any_argv(tmp_path_factory):
+    """Fuzzed argv lists never escape the exit codes 0, 2, 3 and 4.  Every
+    report is JSON on stdout; an argparse rejection (exit 4) prints only a
+    usage message, to stderr."""
+    root = tmp_path_factory.mktemp("fuzz")
+    not_utf8 = root / "latin1.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    paths = [str(root), str(root / "missing" / "x"), str(not_utf8)]
+    numbers = ["-1", "0", "1", "2", "3", "1/0", "abc"]
+    values = {
+        "--graph": ["builtin:octahedron", "builtin:16-cell", "builtin:wheel(6)",
+                    "builtin:cycle(5)", "builtin:icosahedron", "builtin:cycle", *paths],
+        "--function": ["1,2,3,4,5,6", "6,1,5,2,4,3", "1,2,3,4,5,6,7,8", "1,2,3,4,5",
+                       "1,1,1,1,1,1", "-1", "1/0", "abc"],
+        "--level": ["0", "5/2", "1/2", "-1", "1/0", "abc"],
+        "--out": [str(root / "out.off"), str(root / "out.json"), *paths],
+        "--format": ["json", "off", "obj", "abc"],
+        "--poly": ["x^2+y^2-2", "x*y", "-1", "1/0", "abc"],
+        "--domain": ["-2,2;-2,2", "-2,2", "-1", "1/0", "abc"],
+        "--step": ["1", "1/2", "0", "-1", "1/0", "abc"],
+        "--bogus": numbers,
+    }
+
+    def words(flag):
+        if flag == "--periodic":
+            return st.just([flag])
+        return st.sampled_from(values.get(flag, numbers)).map(lambda value: [flag, value])
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(_COMMANDS)))
+        own = [f for f in _COMMANDS[command][1] if f != "--graph"]
+        flags = draw(st.lists(st.sampled_from(own), max_size=4)) if own else []
+        if "--graph" in _COMMANDS[command][1] and draw(st.integers(0, 9)):
+            flags.insert(0, "--graph")
+        if not draw(st.integers(0, 5)):  # now and then a foreign or unknown flag
+            flags.append(draw(st.sampled_from(sorted(_OPTIONS) + ["--bogus"])))
+        return [command] + [word for flag in flags for word in draw(words(flag))]
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argvs(), st.sampled_from([None, None, None, "0", "5", "-1", "abc"]))
+    def check(argv, budget_env):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            if budget_env is None:
+                mp.delenv("SARD_BUDGET", raising=False)
+            else:
+                mp.setenv("SARD_BUDGET", budget_env)
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+        assert code in (0, 2, 3, 4), (argv, code)
+        if stdout.getvalue():
+            assert isinstance(json.loads(stdout.getvalue()), dict), argv
+        else:
+            assert code == 4 and "usage:" in stderr.getvalue(), argv
+
+    check()

@@ -6,8 +6,9 @@ Validates:
     - negative cases: wheel (disk), solid grid, disjoint circles, figure eight
     - contractibility of cones and paths, non-contractibility of cycles
     - budget exhaustion surfaces as a resource_limit verdict
-    - the Euler characteristic entry check agrees with the bare recursion
-      and rejects tori and annuli without a search
+    - the Euler characteristic entry check and the 2-sphere rule agree with
+      a definitional oracle; tori and annuli are rejected without a search
+    - one expansion per decided 2-sphere
 """
 
 from itertools import combinations
@@ -18,8 +19,7 @@ from levelgraph.core import SimplicialGraph, disjoint_union, join
 from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid,
                                 octahedron, random_sphere, sixteen_cell, suspension, wheel)
 from levelgraph.refine import barycentric
-from levelgraph.topology import (_Budget, _Exhausted, _contractible, _sphere, clear_caches,
-                                 components, is_contractible, is_dgraph, is_sphere)
+from levelgraph.topology import clear_caches, components, is_contractible, is_dgraph, is_sphere
 
 
 def test_components():
@@ -137,16 +137,80 @@ def test_flag_rp2_fixture():
     assert is_dgraph(g, 2).ok
 
 
-DIFF_BUDGET = 2000
+def banana():
+    """Two octahedra glued at one antipodal pair: connected, chi = 2, but the
+    two glued vertices have a pair of disjoint 4-cycles as unit sphere."""
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if u + v != 5]
+    second = {0: 0, 5: 5, 1: 6, 2: 7, 3: 8, 4: 9}
+    edges += [(second[u], second[v]) for u, v in edges]
+    return SimplicialGraph(10, edges)
 
 
-def _bare(check, g, *args):
-    clear_caches()
+# -- definitional oracle --------------------------------------------------------
+# The recursive definitions from the topology module docstring, verbatim: no
+# Euler characteristic, no connectivity or cone shortcut, no 2-sphere rule and
+# no memo.  It spends its own budget and says None when that runs out.
+
+ORACLE_BUDGET = 50_000
+
+
+class _OracleExhausted(Exception):
+    pass
+
+
+class _OracleBudget:
+    def __init__(self):
+        self.left = ORACLE_BUDGET
+
+    def spend(self):
+        if self.left <= 0:
+            raise _OracleExhausted
+        self.left -= 1
+
+
+def _knill_contractible(g, active, budget):
+    if len(active) <= 1:
+        return len(active) == 1
+    budget.spend()
+    return any(_knill_contractible(g, g.neighbors[x] & active, budget)
+               and _knill_contractible(g, active - {x}, budget) for x in sorted(active))
+
+
+def _knill_sphere(g, active, d, budget):
+    if d == -1:
+        return not active
+    budget.spend()
+    return (all(_knill_sphere(g, g.neighbors[x] & active, d - 1, budget) for x in sorted(active))
+            and any(_knill_contractible(g, active - {x}, budget) for x in sorted(active)))
+
+
+def _knill_dgraph_witness(g, d, budget):
+    """The first vertex whose unit sphere is not a (d-1)-sphere, or None."""
+    return next((x for x in range(g.n) if not _knill_sphere(g, g.neighbors[x], d - 1, budget)),
+                None)
+
+
+def _oracle(check, g, *args):
+    """The definitional report of check(g, *args) as (verdict, witness), where
+    only is_dgraph's witness is compared; None when the oracle's budget runs out."""
+    every = frozenset(range(g.n))
     try:
-        ok = check(g, frozenset(range(g.n)), *args, _Budget(DIFF_BUDGET))
-    except _Exhausted:
-        return "resource_limit"
-    return "yes" if ok else "no"
+        if check is is_dgraph:
+            witness = _knill_dgraph_witness(g, *args, _OracleBudget())
+            return ("yes", None) if witness is None else ("no", witness)
+        if check is is_sphere:
+            ok = _knill_sphere(g, every, *args, _OracleBudget())
+        else:
+            ok = _knill_contractible(g, every, _OracleBudget())
+    except _OracleExhausted:
+        return None
+    return ("yes" if ok else "no"), None
+
+
+def _report(check, g, *args):
+    clear_caches()
+    r = check(g, *args)
+    return r.verdict, (r.witness if check is is_dgraph else None)
 
 
 def _differential_cases():
@@ -167,14 +231,58 @@ def _differential_cases():
 def test_euler_entry_check_agrees_with_bare_recursion():
     decided = 0
     for g, d in _differential_cases():
-        for bare, check, args in ((_bare(_sphere, g, d), is_sphere, (g, d)),
-                                  (_bare(_contractible, g), is_contractible, (g,))):
-            clear_caches()
-            verdict = check(*args, budget=DIFF_BUDGET).verdict
-            if bare != "resource_limit":
+        for check, args in ((is_sphere, (d,)), (is_contractible, ())):
+            want = _oracle(check, g, *args)
+            if want is not None:
                 decided += 1
-                assert verdict == bare, (check.__name__, g.n, d, bare, verdict)
-    assert decided >= 60
+                assert _report(check, g, *args) == want, (check.__name__, g.n, d, want)
+    assert decided >= 100
+
+
+def _two_sphere_cases():
+    torus = kuhn_grid(2, (4, 4), periodic=True)
+    return [suspension(torus), suspension(flag_rp2()), banana(), suspension(banana()),
+            disjoint_union(octahedron(), torus)]
+
+
+def test_two_sphere_rule_agrees_with_definition():
+    decided = 0
+    for g in [g for g, _ in _differential_cases()] + _two_sphere_cases():
+        for check, d in ((is_sphere, 2), (is_sphere, 3), (is_dgraph, 3)):
+            want = _oracle(check, g, d)
+            if want is not None:
+                decided += 1
+                assert _report(check, g, d) == want, (check.__name__, g.n, d, want)
+    assert decided >= 160
+
+
+def test_two_sphere_rule_rejects_each_near_miss():
+    torus = kuhn_grid(2, (4, 4), periodic=True)
+    cases = [
+        # apex sphere: connected, every unit sphere a circle, chi = 0 / chi = 1
+        (is_dgraph, suspension(torus), 3, 0),
+        (is_dgraph, suspension(flag_rp2()), 3, 0),
+        # connected, chi = 2, but vertex 0 has two disjoint circles as unit sphere
+        (is_sphere, banana(), 2, 0),
+        (is_dgraph, suspension(banana()), 3, 0),
+        # every unit sphere a circle and chi = 2, but disconnected
+        (is_sphere, disjoint_union(octahedron(), torus), 2, "graph is disconnected"),
+    ]
+    for check, g, d, witness in cases:
+        clear_caches()
+        r = check(g, d)
+        assert (r.verdict, r.witness) == ("no", witness), (check.__name__, g.n, d)
+
+
+def test_one_expansion_per_two_sphere():
+    clear_caches()
+    assert is_sphere(icosahedron(), 2).expansions == 1
+    clear_caches()
+    assert is_dgraph(sixteen_cell(), 3).expansions == 8
+    clear_caches()
+    assert is_sphere(sixteen_cell(), 3).expansions == 9
+    clear_caches()
+    assert is_dgraph(sixteen_cell(), 3, budget=7).verdict == "resource_limit"
 
 
 def test_torus_not_a_sphere_without_search():
