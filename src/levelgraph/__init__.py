@@ -8,8 +8,7 @@ exact triangulation of polynomial varieties, and analyzes nodal surfaces
 of Laplacian eigenfunctions.
 """
 
-from .core import (SimplicialGraph, Simplex, clique_complex, disjoint_union,
-                   euler_characteristic, f_vector, join, unit_sphere)
+from .core import SimplicialGraph, Simplex, disjoint_union, euler_characteristic, join
 from .catalog import (build, cross_polytope, cycle, icosahedron, kuhn_grid,
                       octahedron, random_sphere, sixteen_cell, suspension, wheel)
 from .topology import (VerificationReport, clear_caches, components,
@@ -37,8 +36,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "SimplicialGraph", "Simplex", "clique_complex", "disjoint_union",
-    "euler_characteristic", "f_vector", "join", "unit_sphere",
+    "SimplicialGraph", "Simplex", "disjoint_union", "euler_characteristic", "join",
     "build", "cross_polytope", "cycle", "icosahedron", "kuhn_grid",
     "octahedron", "random_sphere", "sixteen_cell", "suspension", "wheel",
     "VerificationReport", "clear_caches", "components", "is_contractible",

@@ -3,7 +3,8 @@
 Reports are JSON on stdout (rationals as "p/q" strings, timings under a
 separate key so fixed-seed runs stay bitwise comparable); progress notes
 go to stderr.  Exit codes: 0 success, 2 a verification verdict was "no",
-3 a verification ran out of budget, 4 bad input.
+3 a verification ran out of budget, 4 bad input.  Bad input, rejected
+arguments included, gets a JSON "error" block on stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import catalog, graphdoc
 from .core import SimplicialGraph, euler_characteristic
-from .errors import LevelGraphError, InputError
+from .errors import LevelGraphError, InputError, UsageError
 from .lagrange import lagrange_candidates, max_rank_check, strong_injectivity_check
 from .levelset import level_surface, simultaneous_locus
 from .meshio import export_mesh
@@ -47,9 +48,9 @@ class _Parser(argparse.ArgumentParser):
         # and it installs the matcher as an instance attribute
         self._negative_number_matcher = re.compile(r"^-[\d.,;/x\-]+$")
 
-    def error(self, message):  # argparse default exit code 2 collides with "verdict no"
+    def error(self, message):  # reported by main like any bad input: JSON and exit 4
         self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+        raise UsageError(message)
 
 
 def _rat(x: Fraction) -> str:
@@ -435,10 +436,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # argparse names the command here before it parses the command's flags,
+    # so a rejected flag is still reported under its command
+    args = argparse.Namespace(command=None)
     start = time.perf_counter()
-    handler, options = _COMMANDS[args.command]
     try:
+        _build_parser().parse_args(argv, args)
+        handler, options = _COMMANDS[args.command]
         if "--budget" in options:
             args.budget = _budget(args)
         report, code = handler(args)
@@ -446,7 +450,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = {"command": args.command,
                   "error": {"type": type(e).__name__, "message": str(e)}}
         print(json.dumps(report, indent=2))
-        print(f"levelgraph {args.command}: {type(e).__name__}: {e}", file=sys.stderr)
+        prog = f"levelgraph {args.command}" if args.command else "levelgraph"
+        print(f"{prog}: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INPUT
     report = {"command": args.command, **report,
               "timings": {"total_s": round(time.perf_counter() - start, 6)}}

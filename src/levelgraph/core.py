@@ -149,21 +149,9 @@ class SimplicialGraph:
 # -- module level operations ----------------------------------------------
 
 
-def clique_complex(g: SimplicialGraph, max_dim: Optional[int] = None):
-    return g.simplices(max_dim)
-
-
-def f_vector(g: SimplicialGraph) -> tuple[int, ...]:
-    return g.f_vector()
-
-
 def euler_characteristic(g: SimplicialGraph) -> int:
     """Alternating sum over the f-vector; 0 for the empty graph."""
     return sum(count if k % 2 == 0 else -count for k, count in enumerate(g.f_vector()))
-
-
-def unit_sphere(g: SimplicialGraph, x: int) -> SimplicialGraph:
-    return g.unit_sphere(x)
 
 
 def _merge_labels(a: SimplicialGraph, b: SimplicialGraph):

@@ -15,6 +15,10 @@ class InputError(LevelGraphError):
     """Malformed user input: bad documents, bad flags, bad parameters."""
 
 
+class UsageError(InputError):
+    """Command line arguments the argument parser rejects."""
+
+
 class LevelHitsVertex(LevelGraphError):
     """A cut level coincides with a function value at some vertex."""
 

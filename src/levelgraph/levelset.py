@@ -1,10 +1,13 @@
 """Level hypersurfaces of vertex functions.
 
 For f on the vertices of g and a level c outside the value set, the surface
-{f=c} has one vertex per simplex of g on which f-c changes sign, with edges
-given by strict containment.  With several constraints the simultaneous
+{f=c} is the containment graph (refine.containment_graph) on the simplices
+of g on which f-c changes sign.  With several constraints the simultaneous
 locus keeps the simplices of dimension at least k on which every f_i-c_i
-changes sign.
+changes sign.  Each vertex's side of each level is decided once; a simplex
+straddles a level when it has vertices on both sides.  When g carries
+coordinates, they are interpolated before the graph is built and passed to
+its constructor.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Optional, Sequence
 from .core import Simplex, SimplicialGraph
 from .errors import DimensionExceeded, InputError, LevelHitsVertex, MissingCoordinates, NotASurface
 from .rational import as_fraction, as_fraction_vector
+from .refine import containment_graph
 from .topology import is_dgraph
 
 
@@ -27,45 +31,26 @@ class LevelSurfaceGraph:
     origin: tuple[Simplex, ...]           # originating parent simplex per vertex
     functions: tuple[tuple[Fraction, ...], ...]
     levels: tuple[Fraction, ...]
-    kind: str                             # "single" | "simultaneous"
-    min_dim: int                          # smallest admitted simplex dimension
 
 
-def _check_level(values, c):
-    for v, x in enumerate(values):
-        if x == c:
-            raise LevelHitsVertex(v, c)
-
-
-def _changes_sign(simplex, values, c) -> bool:
-    below = above = False
-    for v in simplex:
-        if values[v] < c:
-            below = True
-        else:
-            above = True
-        if below and above:
-            return True
-    return False
-
-
-def _assemble(g, origin, functions, levels, kind, min_dim):
-    index = {s: i for i, s in enumerate(origin)}
-    edges = []
-    for s in origin:
-        if len(s) <= min_dim + 1:
-            continue
-        i = index[s]
-        for size in range(min_dim + 1, len(s)):
-            for t in combinations(s, size):
-                j = index.get(t)
-                if j is not None:
-                    edges.append((j, i))
-    graph = SimplicialGraph(len(origin), edges, labels=origin)
-    surface = LevelSurfaceGraph(graph, g, tuple(origin), functions, levels, kind, min_dim)
+def _locus(g, functions, levels) -> LevelSurfaceGraph:
+    """Keep the simplices of dimension >= len(levels) straddling every level."""
+    belows = []
+    for values, c in zip(functions, levels):
+        below = set()
+        for v, x in enumerate(values):
+            if x < c:
+                below.add(v)
+            elif x == c:
+                raise LevelHitsVertex(v, c)
+        belows.append(below)
+    k = len(levels)
+    origin = tuple(s for group in g.simplices()[k:] for s in group
+                   if all(not b.isdisjoint(s) and not b.issuperset(s) for b in belows))
+    coords = None
     if g.coordinates is not None:
-        graph.coordinates = interpolate_coordinates(surface)
-    return surface
+        coords = interpolate_coordinates(g, origin, functions, levels)
+    return LevelSurfaceGraph(containment_graph(origin, k, coords), g, origin, functions, levels)
 
 
 def level_surface(g: SimplicialGraph, f: Sequence, c) -> LevelSurfaceGraph:
@@ -75,12 +60,7 @@ def level_surface(g: SimplicialGraph, f: Sequence, c) -> LevelSurfaceGraph:
     f(V); levels hitting a vertex value raise LevelHitsVertex instead of
     silently switching to another convention.
     """
-    values = as_fraction_vector(f, g.n)
-    c = as_fraction(c)
-    _check_level(values, c)
-    origin = [s for group in g.simplices()[1:] for s in group
-              if _changes_sign(s, values, c)]
-    return _assemble(g, origin, (values,), (c,), "single", 1)
+    return _locus(g, (as_fraction_vector(f, g.n),), (as_fraction(c),))
 
 
 def simultaneous_locus(g: SimplicialGraph, fs: Sequence[Sequence], cs: Sequence) -> LevelSurfaceGraph:
@@ -95,28 +75,25 @@ def simultaneous_locus(g: SimplicialGraph, fs: Sequence[Sequence], cs: Sequence)
         raise DimensionExceeded(f"{k} constraints exceed complex dimension {d}")
     functions = tuple(as_fraction_vector(f, g.n) for f in fs)
     levels = tuple(as_fraction(c) for c in cs)
-    for values, c in zip(functions, levels):
-        _check_level(values, c)
-    origin = [s for group in g.simplices()[k:] for s in group
-              if all(_changes_sign(s, values, c) for values, c in zip(functions, levels))]
-    return _assemble(g, origin, functions, levels, "simultaneous", k)
+    return _locus(g, functions, levels)
 
 
-def interpolate_coordinates(s: LevelSurfaceGraph) -> tuple[tuple[float, ...], ...]:
-    """Linear crossing points for the surface vertices.
+def interpolate_coordinates(g: SimplicialGraph, origin: Sequence[Simplex],
+                            functions: Sequence[Sequence[Fraction]],
+                            levels: Sequence[Fraction]) -> tuple[tuple[float, ...], ...]:
+    """Linear crossing points on g for the simplices of a level set.
 
     An origin edge gets the point where the (first straddling) function
     crosses its level; a higher simplex gets the centroid of the crossing
     points on its sign-changing edges, collected over all constraints.
     """
-    g = s.parent
     if g.coordinates is None:
         raise MissingCoordinates("parent graph has no coordinates")
     dim = len(g.coordinates[0])
     # per constraint: crossing points by edge, computed once, and each vertex's side
-    cuts = [({}, values, c, [x < c for x in values]) for values, c in zip(s.functions, s.levels)]
+    cuts = [({}, values, c, [x < c for x in values]) for values, c in zip(functions, levels)]
     points = []
-    for simplex in s.origin:
+    for simplex in origin:
         crossings = []
         for memo, values, c, below in cuts:
             for a, b in combinations(simplex, 2):

@@ -1,8 +1,10 @@
-"""Barycentric refinement and function extension.
+"""Containment graphs: barycentric refinement and function extension.
 
-The refinement of a graph has one vertex per simplex of the clique complex,
-with edges given by strict containment.  Vertex order is by dimension, then
-lexicographic within a dimension, so ids are reproducible.
+A containment graph has one vertex per simplex of a chosen list, with edges
+given by strict containment.  The barycentric refinement takes every
+simplex of the clique complex, in order of dimension and then
+lexicographically within a dimension, so ids are reproducible; level sets
+(see levelset) take the simplices on which a function changes sign.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import Simplex, SimplicialGraph
 from .errors import InputError
@@ -24,21 +26,31 @@ class RefinedGraph:
     origin: tuple[Simplex, ...]  # originating parent simplex per vertex
 
 
+def containment_graph(origin: Sequence[Simplex], min_dim: int = 0,
+                      coordinates: Optional[Sequence[Sequence[float]]] = None) -> SimplicialGraph:
+    """The graph on distinct simplices joined by strict containment.
+
+    Vertex i is origin[i] and is labeled by it.  Each simplex is joined to
+    those of its faces that have dimension at least min_dim and appear in
+    origin; faces below min_dim are not looked up.
+    """
+    index = {s: i for i, s in enumerate(origin)}
+    edges = []
+    for i, s in enumerate(origin):
+        for size in range(min_dim + 1, len(s)):
+            for t in combinations(s, size):
+                j = index.get(t)
+                if j is not None:
+                    edges.append((j, i))
+    return SimplicialGraph(len(origin), edges, labels=origin, coordinates=coordinates)
+
+
 def barycentric(g: SimplicialGraph) -> RefinedGraph:
     """Barycentric refinement; preserves the Euler characteristic.
 
     New coordinates, when the parent carries any, are simplex centroids.
     """
-    origin = [s for group in g.simplices() for s in group]
-    index = {s: i for i, s in enumerate(origin)}
-    edges = []
-    for s in origin:
-        if len(s) == 1:
-            continue
-        i = index[s]
-        for size in range(1, len(s)):
-            for t in combinations(s, size):
-                edges.append((index[t], i))
+    origin = tuple(s for group in g.simplices() for s in group)
     coords = None
     if g.coordinates is not None:
         coords = [
@@ -46,8 +58,7 @@ def barycentric(g: SimplicialGraph) -> RefinedGraph:
                   for k in range(len(g.coordinates[0])))
             for s in origin
         ]
-    graph = SimplicialGraph(len(origin), edges, labels=origin, coordinates=coords)
-    return RefinedGraph(graph, g, tuple(origin))
+    return RefinedGraph(containment_graph(origin, 0, coords), g, origin)
 
 
 def dimension_coloring(r) -> tuple[int, ...]:

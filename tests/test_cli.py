@@ -125,12 +125,15 @@ def test_malformed_input_exits_4(capsys, monkeypatch, tmp_path, graph, budget_en
 
 
 def test_argparse_errors_exit_4(capsys):
-    code, _ = run(capsys, "verify", "--graph", "builtin:octahedron", "--bogus")
-    assert code == 4
-    code, _ = run(capsys, "no-such-command")
-    assert code == 4
-    code, _ = run(capsys, "verify")  # --graph is required
-    assert code == 4
+    code, rep = run(capsys, "verify", "--graph", "builtin:octahedron", "--bogus")
+    assert code == 4 and rep["command"] == "verify"
+    assert rep["error"]["type"] == "UsageError"
+    code, rep = run(capsys, "no-such-command")
+    assert code == 4 and rep["command"] is None
+    assert rep["error"]["type"] == "UsageError"
+    code, rep = run(capsys, "verify")  # --graph is required
+    assert code == 4 and rep["command"] == "verify"
+    assert rep["error"]["type"] == "UsageError"
 
 
 OCTAHEDRON = ("--graph", "builtin:octahedron")
@@ -151,8 +154,13 @@ LEVELSET = ("levelset", *OCTAHEDRON, "--function", "1,2,3,4,5,6", "--level", "7/
                   "--step", "1/2"), id="variety-graph"),
 ])
 def test_foreign_flag_exits_4(capsys, argv):
-    code, rep = run(capsys, *argv)
-    assert code == 4 and rep is None
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 4 and "usage:" in err
+    rep = json.loads(out)
+    assert rep.keys() == {"command", "error"} and rep["command"] == argv[0]
+    assert rep["error"]["type"] == "UsageError"
+    assert rep["error"]["message"].startswith("unrecognized arguments:")
 
 
 def test_spectrum_octahedron(capsys):
@@ -303,9 +311,9 @@ def test_ground_state_16_cell(capsys):
 
 
 def test_cli_contract_holds_for_any_argv(tmp_path_factory):
-    """Fuzzed argv lists never escape the exit codes 0, 2, 3 and 4.  Every
-    report is JSON on stdout; an argparse rejection (exit 4) prints only a
-    usage message, to stderr."""
+    """Fuzzed argv lists never escape the exit codes 0, 2, 3 and 4, and every
+    one gets a JSON report on stdout; an argparse rejection (exit 4) reports
+    a UsageError and prints the usage to stderr."""
     root = tmp_path_factory.mktemp("fuzz")
     not_utf8 = root / "latin1.json"
     not_utf8.write_bytes(b"\xff\xfe{}")
@@ -357,9 +365,9 @@ def test_cli_contract_holds_for_any_argv(tmp_path_factory):
             except SystemExit as e:
                 code = e.code
         assert code in (0, 2, 3, 4), (argv, code)
-        if stdout.getvalue():
-            assert isinstance(json.loads(stdout.getvalue()), dict), argv
-        else:
-            assert code == 4 and "usage:" in stderr.getvalue(), argv
+        report = json.loads(stdout.getvalue())
+        assert isinstance(report, dict), argv
+        if "usage:" in stderr.getvalue():
+            assert code == 4 and report["error"]["type"] == "UsageError", argv
 
     check()

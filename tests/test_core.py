@@ -12,8 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from levelgraph.core import (SimplicialGraph, disjoint_union, euler_characteristic,
-                             f_vector, join, unit_sphere)
+from levelgraph.core import SimplicialGraph, disjoint_union, euler_characteristic, join
 from levelgraph.catalog import cross_polytope, cycle, icosahedron, octahedron, wheel
 from levelgraph.errors import InputError
 
@@ -64,10 +63,10 @@ def test_simplices_sorted_within_dimension():
 
 
 def test_f_vectors():
-    assert f_vector(octahedron()) == (6, 12, 8)
-    assert f_vector(icosahedron()) == (12, 30, 20)
-    assert f_vector(cross_polytope(3)) == (8, 24, 32, 16)
-    assert f_vector(cycle(5)) == (5, 5)
+    assert octahedron().f_vector() == (6, 12, 8)
+    assert icosahedron().f_vector() == (12, 30, 20)
+    assert cross_polytope(3).f_vector() == (8, 24, 32, 16)
+    assert cycle(5).f_vector() == (5, 5)
 
 
 def test_euler_characteristic_golden():
@@ -118,7 +117,7 @@ def test_join_of_spheres():
 
 
 def test_unit_sphere_octahedron():
-    s = unit_sphere(octahedron(), 0)
+    s = octahedron().unit_sphere(0)
     assert s.n == 4
     assert all(s.degree(v) == 2 for v in range(4))
 

@@ -2,7 +2,7 @@
 
 Validates:
     - {f=c} on spheres gives circles / 2-spheres with known sizes
-    - containment structure of the surface graph
+    - the surface graph's edges are exactly the containment pairs
     - LevelHitsVertex and constraint-count errors
     - simultaneous locus on the 16-cell: regular pair gives a circle
     - oriented triangle extraction and interpolated coordinates
@@ -49,12 +49,34 @@ def test_three_sphere_level_is_two_sphere():
     assert is_sphere(s.graph, 2).ok
 
 
+def containment_pairs(origin):
+    """Every pair of origin positions whose simplices are strictly nested."""
+    return {(i, j) if i < j else (j, i)
+            for i, a in enumerate(origin) for j, b in enumerate(origin) if set(a) < set(b)}
+
+
 def test_edges_are_containment_pairs():
-    g = octahedron()
-    s = level_surface(g, list(range(6)), Fraction(5, 2))
-    for u, v in s.graph.edges():
-        a, b = set(s.origin[u]), set(s.origin[v])
-        assert a < b or b < a
+    s = level_surface(cross_polytope(3), list(range(8)), Fraction(7, 2))
+    assert set(s.graph.edges()) == containment_pairs(s.origin)
+    # k = 2: edges of the parent are not vertices, so triangles join only tetrahedra
+    locus = simultaneous_locus(cross_polytope(3), [list(range(8)), [3, 1, 4, 1, 5, 9, 2, 6]],
+                               [Fraction(7, 2), Fraction(7, 2)])
+    assert {len(o) for o in locus.origin} == {3, 4}
+    assert set(locus.graph.edges()) == containment_pairs(locus.origin)
+
+
+@pytest.mark.parametrize("g, f, c", [
+    (octahedron(), list(range(6)), Fraction(5, 2)),
+    (cross_polytope(3), [3, 1, 4, 1, 5, 9, 2, 6], Fraction(7, 2)),
+    (kuhn_grid(3, (2, 2, 2)), [(i * 7) % 11 for i in range(27)], Fraction(9, 2)),
+], ids=["octahedron", "16-cell", "kuhn-3d"])
+def test_single_constraint_locus_is_level_surface(g, f, c):
+    s = level_surface(g, f, c)
+    t = simultaneous_locus(g, [f], [c])
+    assert s.graph.n > 0
+    assert t.origin == s.origin
+    assert t.graph.edges() == s.graph.edges()
+    assert t.graph.coordinates == s.graph.coordinates
 
 
 def test_level_hits_vertex():
@@ -131,9 +153,9 @@ def test_interpolated_coordinates():
     g = kuhn_grid(2, (2, 2))
     f = [Fraction(i * 7 % 13) - Fraction(11, 2) for i in range(g.n)]
     s = level_surface(g, f, Fraction(1, 4))
-    pts = interpolate_coordinates(s)
+    pts = interpolate_coordinates(g, s.origin, s.functions, s.levels)
     assert len(pts) == s.graph.n
-    assert s.graph.coordinates is not None
+    assert s.graph.coordinates == pts
     lo = min(min(p) for p in g.coordinates)
     hi = max(max(p) for p in g.coordinates)
     for p in pts:
@@ -141,10 +163,10 @@ def test_interpolated_coordinates():
 
 
 def test_interpolation_needs_coordinates():
-    g = octahedron()
-    s = level_surface(g, list(range(6)), Fraction(5, 2))
-    bare = level_surface(icosahedron(), list(range(12)), Fraction(3, 2))
-    assert s.graph.coordinates is not None  # octahedron ships with coordinates
-    if bare.parent.coordinates is None:
-        with pytest.raises(MissingCoordinates):
-            interpolate_coordinates(bare)
+    g = kuhn_grid(2, (4, 4), periodic=True)  # a torus: no coordinates
+    assert g.coordinates is None
+    s = level_surface(g, list(range(g.n)), Fraction(15, 2))
+    assert s.graph.n > 0
+    assert s.graph.coordinates is None
+    with pytest.raises(MissingCoordinates):
+        interpolate_coordinates(g, s.origin, s.functions, s.levels)

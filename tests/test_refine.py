@@ -3,6 +3,7 @@
 Validates:
     - vertex count equals total simplex count, Euler characteristic preserved
     - refined spheres stay spheres
+    - edges are exactly the strict containment pairs
     - dimension coloring is proper
     - extension by simplex means commutes with affine maps
 """
@@ -10,8 +11,8 @@ Validates:
 from fractions import Fraction
 import random
 
-from levelgraph.core import euler_characteristic, f_vector
-from levelgraph.catalog import cycle, icosahedron, octahedron, wheel
+from levelgraph.core import euler_characteristic
+from levelgraph.catalog import cross_polytope, cycle, icosahedron, octahedron, wheel
 from levelgraph.refine import barycentric, dimension_coloring, extend_function
 from levelgraph.topology import is_sphere
 
@@ -19,7 +20,7 @@ from levelgraph.topology import is_sphere
 def test_vertex_count_is_simplex_count():
     g = octahedron()
     r = barycentric(g)
-    assert r.graph.n == sum(f_vector(g))  # 6 + 12 + 8 = 26
+    assert r.graph.n == sum(g.f_vector())  # 6 + 12 + 8 = 26
 
 
 def test_euler_characteristic_preserved():
@@ -38,6 +39,14 @@ def test_origin_records_simplices():
     r = barycentric(g)
     dims = sorted(len(r.origin[v]) for v in range(r.graph.n))
     assert dims == [1, 1, 1, 1, 2, 2, 2, 2]
+
+
+def test_edges_are_all_containment_pairs():
+    r = barycentric(cross_polytope(3))
+    pos = {s: i for i, s in enumerate(r.origin)}
+    pairs = {(pos[a], pos[b]) for a in r.origin for b in r.origin if set(a) < set(b)}
+    assert set(r.graph.edges()) == pairs  # faces come first, so pos[a] < pos[b]
+    assert r.graph.labels == r.origin
 
 
 def test_dimension_coloring_proper():
@@ -74,5 +83,5 @@ def test_double_refinement_grows():
     g = octahedron()
     r1 = barycentric(g)
     r2 = barycentric(r1.graph)
-    assert r2.graph.n == sum(f_vector(r1.graph))
+    assert r2.graph.n == sum(r1.graph.f_vector())
     assert euler_characteristic(r2.graph) == 2
