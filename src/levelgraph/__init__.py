@@ -11,9 +11,8 @@ of Laplacian eigenfunctions.
 from .core import SimplicialGraph, Simplex, disjoint_union, euler_characteristic, join
 from .catalog import (build, cross_polytope, cycle, icosahedron, kuhn_grid,
                       octahedron, random_sphere, sixteen_cell, suspension, wheel)
-from .topology import (VerificationReport, clear_caches, components,
-                       is_contractible, is_dgraph, is_sphere)
-from .canonical import are_isomorphic, canonical_form
+from .topology import (VerificationReport, components, is_contractible, is_dgraph,
+                       is_sphere)
 from .rational import as_fraction, as_fraction_vector
 from .refine import RefinedGraph, barycentric, dimension_coloring, extend_function
 from .levelset import (LevelSurfaceGraph, SurfaceTriangles, interpolate_coordinates,
@@ -39,9 +38,7 @@ __all__ = [
     "SimplicialGraph", "Simplex", "disjoint_union", "euler_characteristic", "join",
     "build", "cross_polytope", "cycle", "icosahedron", "kuhn_grid",
     "octahedron", "random_sphere", "sixteen_cell", "suspension", "wheel",
-    "VerificationReport", "clear_caches", "components", "is_contractible",
-    "is_dgraph", "is_sphere",
-    "are_isomorphic", "canonical_form",
+    "VerificationReport", "components", "is_contractible", "is_dgraph", "is_sphere",
     "as_fraction", "as_fraction_vector",
     "RefinedGraph", "barycentric", "dimension_coloring", "extend_function",
     "LevelSurfaceGraph", "SurfaceTriangles", "interpolate_coordinates",

@@ -7,10 +7,14 @@ unit spheres are all (d-1)-spheres and which loses contractibility .. gains
 it .. after deleting a single vertex; the empty graph is the (-1)-sphere.
 A d-graph only requires every unit sphere to be a (d-1)-sphere.
 
-Searches carry an expansion budget.  When it runs out the caller receives
-the verdict "resource_limit" instead of a guess.  Definitive verdicts are
-memoized globally in one tier, keyed by the exact relabeled edge list, so
-the memo only short-circuits repeats of the same labeled graph.
+Each public call runs one search with its own state: the expansion budget
+and a memo of definitive verdicts.  Every subgraph a search visits is
+induced from the graph it was called on, so its vertex set identifies it:
+contractibility verdicts are keyed by the vertex set, sphere verdicts by
+the vertex set and the dimension.  The memo is dropped when the call
+returns, so a verdict depends only on the graph, the dimension and the
+budget, and nothing is kept between calls.  When the budget runs out the
+caller receives the verdict "resource_limit" instead of a guess.
 
 Theorem-backed shortcuts prune the search without changing its answer:
 
@@ -33,7 +37,7 @@ Theorem-backed shortcuts prune the search without changing its answer:
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import SimplicialGraph, euler_characteristic
@@ -42,9 +46,6 @@ DEFAULT_BUDGET = 10 ** 6
 
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
-
-_contractible_memo: dict = {}
-_sphere_memo: dict = {}
 
 
 @dataclass
@@ -65,8 +66,10 @@ class _Exhausted(Exception):
 
 @dataclass
 class _Budget:
+    """The state of one search: expansions left and spent, and its verdict memo."""
     remaining: int
     used: int = 0
+    memo: dict = field(default_factory=dict)
 
     def spend(self):
         if self.remaining <= 0:
@@ -75,20 +78,24 @@ class _Budget:
         self.used += 1
 
 
+def _verify(decide, budget: Optional[int]) -> VerificationReport:
+    """decide(search) on a fresh search; an exhausted budget gives "resource_limit"."""
+    search = _Budget(DEFAULT_BUDGET if budget is None else budget)
+    try:
+        report = decide(search)
+    except _Exhausted:
+        report = VerificationReport("resource_limit", witness="expansion budget exhausted")
+    report.expansions = search.used
+    return report
+
+
 def clear_caches():
-    _contractible_memo.clear()
-    _sphere_memo.clear()
+    """Do nothing: each search's memo lives only as long as its call.
+
+    Kept so that callers that reset the verifier between runs keep working."""
 
 
 # -- subgraph views ---------------------------------------------------------
-
-
-def _exact_key(base, active):
-    """(n, edges) of the induced subgraph relabeled to 0..n-1 in vertex order."""
-    index = {v: i for i, v in enumerate(sorted(active))}
-    edges = tuple((i, j) for v, i in index.items()
-                  for j in sorted(index[u] for u in base.neighbors[v] if u in active) if j > i)
-    return len(index), edges
 
 
 def _connected(base, active) -> bool:
@@ -136,8 +143,7 @@ def _contractible(base, active, budget) -> bool:
         return True
     if _dominating(base, active):
         return True
-    key = _exact_key(base, active)
-    hit = _contractible_memo.get(key)
+    hit = budget.memo.get(active)
     if hit is not None:
         return hit
     budget.spend()
@@ -150,23 +156,19 @@ def _contractible(base, active, budget) -> bool:
                 and _contractible(base, active - {x}, budget)):
             result = True
             break
-    _contractible_memo[key] = result
+    budget.memo[active] = result
     return result
 
 
 def is_contractible(g: SimplicialGraph, budget: Optional[int] = None) -> VerificationReport:
-    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    active = frozenset(range(g.n))
-    try:
-        ok = (euler_characteristic(g) == 1 and _connected(g, active)
-              and _contractible(g, active, b))
-    except _Exhausted:
-        return VerificationReport("resource_limit", witness="expansion budget exhausted",
-                                  expansions=b.used)
-    if ok:
-        return VerificationReport("yes", dimension=g.dimension(), expansions=b.used)
-    witness = "empty graph" if g.n == 0 else "no vertex removal sequence reaches a point"
-    return VerificationReport("no", witness=witness, expansions=b.used)
+    def decide(search):
+        active = frozenset(range(g.n))
+        if (euler_characteristic(g) == 1 and _connected(g, active)
+                and _contractible(g, active, search)):
+            return VerificationReport("yes", dimension=g.dimension())
+        witness = "empty graph" if g.n == 0 else "no vertex removal sequence reaches a point"
+        return VerificationReport("no", witness=witness)
+    return _verify(decide, budget)
 
 
 # -- spheres ------------------------------------------------------------------
@@ -196,8 +198,7 @@ def _sphere(base, active, d, budget) -> bool:
                 return False
             twice_edges += len(link)
         return n - twice_edges // 6 == 2
-    key = _exact_key(base, active)
-    hit = _sphere_memo.get((key, d))
+    hit = budget.memo.get((active, d))
     if hit is not None:
         return hit
     budget.spend()
@@ -209,24 +210,20 @@ def _sphere(base, active, d, budget) -> bool:
     if result:  # G and every S(x) are connected, so every G-x is connected
         order = sorted(active, key=lambda v: (len(base.neighbors[v] & active), v))
         result = any(_contractible(base, active - {x}, budget) for x in order)
-    _sphere_memo[(key, d)] = result
+    budget.memo[active, d] = result
     return result
 
 
 def is_sphere(g: SimplicialGraph, d: int, budget: Optional[int] = None) -> VerificationReport:
-    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    active = frozenset(range(g.n))
-    try:
-        ok = euler_characteristic(g) == 1 + (-1) ** d and _sphere(g, active, d, b)
-    except _Exhausted:
-        return VerificationReport("resource_limit", witness="expansion budget exhausted",
-                                  expansions=b.used)
-    if ok:
-        return VerificationReport("yes", dimension=d, expansions=b.used)
-    return VerificationReport("no", witness=_sphere_witness(g, d, b), expansions=b.used)
+    def decide(search):
+        chi = euler_characteristic(g)
+        if chi == 1 + (-1) ** d and _sphere(g, frozenset(range(g.n)), d, search):
+            return VerificationReport("yes", dimension=d)
+        return VerificationReport("no", witness=_sphere_witness(g, d, chi, search))
+    return _verify(decide, budget)
 
 
-def _sphere_witness(g, d, budget):
+def _sphere_witness(g, d, chi, budget):
     if d == -1:
         return "graph is nonempty"
     if g.n == 0:
@@ -239,6 +236,9 @@ def _sphere_witness(g, d, budget):
                 return x
     except _Exhausted:
         pass
+    sphere_chi = 1 + (-1) ** d
+    if chi != sphere_chi:
+        return f"Euler characteristic {chi}, a {d}-sphere has {sphere_chi}"
     return "no vertex deletion leaves a contractible graph"
 
 
@@ -248,34 +248,18 @@ def _sphere_witness(g, d, budget):
 def is_dgraph(g: SimplicialGraph, d: int, budget: Optional[int] = None) -> VerificationReport:
     """Check that every unit sphere is a (d-1)-sphere.
 
-    The empty graph passes vacuously for every d >= 0, which lets level set
-    code state "empty or a (d-1)-graph" as a single verdict.
+    The empty graph passes vacuously for every d, which lets level set code
+    state "empty or a (d-1)-graph" as a single verdict.  For d = 0 and d = 1
+    the sphere base cases decide each unit sphere without an expansion.
     """
-    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    if d < 0:
-        if g.n == 0:
-            return VerificationReport("yes", dimension=d)
-        return VerificationReport("no", witness="graph is nonempty")
-    if d == 0:
-        for u, v in g.edges():
-            return VerificationReport("no", witness=(u, v), expansions=b.used)
-        return VerificationReport("yes", dimension=0, expansions=b.used)
-    if d == 1:
+    def decide(search):
+        if d < 0 and g.n:
+            return VerificationReport("no", witness="graph is nonempty")
         for x in range(g.n):
-            if g.degree(x) != 2:
-                return VerificationReport("no", witness=x, expansions=b.used)
-        for comp in components(g):
-            if len(comp) < 4:
-                return VerificationReport("no", witness=comp[0], expansions=b.used)
-        return VerificationReport("yes", dimension=1, expansions=b.used)
-    try:
-        for x in range(g.n):
-            if not _sphere(g, g.neighbors[x], d - 1, b):
-                return VerificationReport("no", witness=x, expansions=b.used)
-    except _Exhausted:
-        return VerificationReport("resource_limit", witness="expansion budget exhausted",
-                                  expansions=b.used)
-    return VerificationReport("yes", dimension=d, expansions=b.used)
+            if not _sphere(g, g.neighbors[x], d - 1, search):
+                return VerificationReport("no", witness=x)
+        return VerificationReport("yes", dimension=d)
+    return _verify(decide, budget)
 
 
 def components(g: SimplicialGraph) -> list[tuple[int, ...]]:

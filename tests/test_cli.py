@@ -13,7 +13,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from levelgraph.cli import _COMMANDS, _OPTIONS, main
-from levelgraph.topology import clear_caches
 
 CAP_F = "5,-1,-2,-3,-4,-6,-7,-8"
 CAP_H = "-11,9,-12,-13,-14,-15,-16,-17"
@@ -45,7 +44,6 @@ def test_verify_disk_fails_with_witness(capsys):
 
 
 def test_budget_flag_gives_exit_3(capsys):
-    clear_caches()
     code, rep = run(capsys, "verify", "--graph", "builtin:16-cell", "--budget", "0")
     assert code == 3
     assert rep["verification"]["verdict"] == "resource_limit"
@@ -53,7 +51,6 @@ def test_budget_flag_gives_exit_3(capsys):
 
 def test_budget_counts_one_expansion_per_two_sphere(capsys):
     # the 16-cell's eight unit spheres are octahedra, one expansion each
-    clear_caches()
     code, rep = run(capsys, "verify", "--graph", "builtin:16-cell", "--budget", "8")
     assert code == 0 and rep["verification"]["expansions"] == 8
     code, rep = run(capsys, "verify", "--graph", "builtin:16-cell", "--budget", "7")
@@ -61,7 +58,6 @@ def test_budget_counts_one_expansion_per_two_sphere(capsys):
 
 
 def test_budget_env_var(capsys, monkeypatch):
-    clear_caches()
     monkeypatch.setenv("SARD_BUDGET", "0")
     code, rep = run(capsys, "verify", "--graph", "builtin:16-cell")
     assert code == 3

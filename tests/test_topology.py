@@ -9,6 +9,8 @@ Validates:
     - the Euler characteristic entry check and the 2-sphere rule agree with
       a definitional oracle; tori and annuli are rejected without a search
     - one expansion per decided 2-sphere
+    - a verdict depends only on the graph, the dimension and the budget, not
+      on earlier calls
 """
 
 from itertools import combinations
@@ -19,7 +21,7 @@ from levelgraph.core import SimplicialGraph, disjoint_union, join
 from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid,
                                 octahedron, random_sphere, sixteen_cell, suspension, wheel)
 from levelgraph.refine import barycentric
-from levelgraph.topology import clear_caches, components, is_contractible, is_dgraph, is_sphere
+from levelgraph.topology import components, is_contractible, is_dgraph, is_sphere
 
 
 def test_components():
@@ -99,13 +101,11 @@ def test_empty_graph_dimension():
 
 
 def test_budget_zero_gives_resource_limit():
-    clear_caches()
     r = is_sphere(icosahedron(), 2, budget=0)
     assert r.verdict == "resource_limit"
 
 
 def test_budget_large_enough_succeeds():
-    clear_caches()
     r = is_sphere(octahedron(), 2, budget=10**6)
     assert r.ok
     assert r.expansions > 0
@@ -135,6 +135,20 @@ def test_flag_rp2_fixture():
     g = flag_rp2()
     assert g.f_vector() == (31, 90, 60)
     assert is_dgraph(g, 2).ok
+
+
+def rp2_with_strip():
+    """flag_rp2 with a strip of 12 triangles glued on its edge (0, 1); chi = 1.
+
+    Not contractible, but every vertex of the strip can be peeled, so a search
+    without a memo meets the same subgraphs of flag_rp2 again and again."""
+    g = flag_rp2()
+    a = [0] + [g.n + i for i in range(6)]
+    b = [1] + [g.n + 6 + i for i in range(6)]
+    edges = g.edges()
+    for i in range(6):
+        edges += [(a[i], a[i + 1]), (b[i], b[i + 1]), (a[i + 1], b[i]), (a[i + 1], b[i + 1])]
+    return SimplicialGraph(g.n + 12, edges)
 
 
 def banana():
@@ -208,7 +222,6 @@ def _oracle(check, g, *args):
 
 
 def _report(check, g, *args):
-    clear_caches()
     r = check(g, *args)
     return r.verdict, (r.witness if check is is_dgraph else None)
 
@@ -236,6 +249,20 @@ def test_euler_entry_check_agrees_with_bare_recursion():
             if want is not None:
                 decided += 1
                 assert _report(check, g, *args) == want, (check.__name__, g.n, d, want)
+    assert decided >= 100
+
+
+def test_low_dimensional_dgraphs_agree_with_definition():
+    cases = [g for g, _ in _differential_cases()] + _two_sphere_cases()
+    cases += [disjoint_union(cycle(3), wheel(5)), disjoint_union(cycle(4), cycle(3)),
+              cross_polytope(0), SimplicialGraph(3, [])]
+    decided = 0
+    for g in cases:
+        for d in (0, 1):
+            want = _oracle(is_dgraph, g, d)
+            if want is not None:
+                decided += 1
+                assert _report(is_dgraph, g, d) == want, (g.n, d, want)
     assert decided >= 100
 
 
@@ -269,32 +296,45 @@ def test_two_sphere_rule_rejects_each_near_miss():
         (is_sphere, disjoint_union(octahedron(), torus), 2, "graph is disconnected"),
     ]
     for check, g, d, witness in cases:
-        clear_caches()
         r = check(g, d)
         assert (r.verdict, r.witness) == ("no", witness), (check.__name__, g.n, d)
 
 
 def test_one_expansion_per_two_sphere():
-    clear_caches()
     assert is_sphere(icosahedron(), 2).expansions == 1
-    clear_caches()
     assert is_dgraph(sixteen_cell(), 3).expansions == 8
-    clear_caches()
     assert is_sphere(sixteen_cell(), 3).expansions == 9
-    clear_caches()
     assert is_dgraph(sixteen_cell(), 3, budget=7).verdict == "resource_limit"
 
 
 def test_torus_not_a_sphere_without_search():
     torus = kuhn_grid(2, (5, 5), periodic=True)
-    clear_caches()
     r = is_sphere(torus, 2, budget=1000)
     assert r.verdict == "no"
     assert r.expansions == 0
+    assert r.witness == "Euler characteristic 0, a 2-sphere has 2"
+    # the zero budget stops the search for a bad unit sphere (an apex's, RP^2) at once
+    r = is_sphere(suspension(flag_rp2()), 3, budget=0)
+    assert (r.verdict, r.witness) == ("no", "Euler characteristic 1, a 3-sphere has 0")
 
 
 def test_annulus_not_contractible_without_search():
-    clear_caches()
     r = is_contractible(annulus(6))
     assert r.verdict == "no"
     assert r.expansions == 0
+
+
+def test_memo_prunes_repeated_subgraphs():
+    r = is_contractible(rp2_with_strip(), budget=10_000)
+    assert r.verdict == "no"
+
+
+def test_verdict_does_not_depend_on_earlier_calls():
+    assert is_sphere(sixteen_cell(), 3, budget=0).verdict == "resource_limit"
+    assert is_sphere(sixteen_cell(), 3).ok
+    assert is_sphere(sixteen_cell(), 3, budget=0).verdict == "resource_limit"
+
+    def reports():
+        return [vars(check(g, *args)) for g, d in _differential_cases()
+                for check, args in ((is_sphere, (d,)), (is_contractible, ()))]
+    assert reports() == reports()
