@@ -14,16 +14,17 @@ from .catalog import (build, cross_polytope, cycle, icosahedron, kuhn_grid,
 from .topology import (VerificationReport, components, is_contractible, is_dgraph,
                        is_sphere)
 from .rational import as_fraction, as_fraction_vector
-from .refine import RefinedGraph, barycentric, dimension_coloring, extend_function
+from .refine import (RefinedGraph, barycentric, dimension_coloring, extend_by_support,
+                     extend_function)
 from .levelset import (LevelSurfaceGraph, SurfaceTriangles, interpolate_coordinates,
                        level_surface, simultaneous_locus, surface_triangles)
 from .morse import (CurvatureVector, IndexReport, central_surface, curvature,
                     index_expectation, index_expectation_exact, ph_index,
                     ph_sum_check)
 from .lagrange import (InjectivityReport, MaxRankReport, SignGradient,
-                       crossing_gradient, gradients_at, lagrange_candidates,
-                       max_rank_check, sign_gradient, strong_injectivity_check)
-from .sard import SardStage, SardTrace, extend_by_support, sard_pipeline
+                       lagrange_candidates, max_rank_check, sign_gradient,
+                       strong_injectivity_check)
+from .sard import SardStage, SardTrace, sard_pipeline
 from .variety import Polynomial, parse_polynomial, triangulate_variety
 from .spectral import (GroundState, NodalReport, Spectrum, eigendecompose,
                        eigenfunction_principle_check, ground_state_surface,
@@ -40,15 +41,15 @@ __all__ = [
     "octahedron", "random_sphere", "sixteen_cell", "suspension", "wheel",
     "VerificationReport", "components", "is_contractible", "is_dgraph", "is_sphere",
     "as_fraction", "as_fraction_vector",
-    "RefinedGraph", "barycentric", "dimension_coloring", "extend_function",
+    "RefinedGraph", "barycentric", "dimension_coloring", "extend_by_support",
+    "extend_function",
     "LevelSurfaceGraph", "SurfaceTriangles", "interpolate_coordinates",
     "level_surface", "simultaneous_locus", "surface_triangles",
     "CurvatureVector", "IndexReport", "central_surface", "curvature",
     "index_expectation", "index_expectation_exact", "ph_index", "ph_sum_check",
-    "InjectivityReport", "MaxRankReport", "SignGradient", "gradients_at",
-    "crossing_gradient", "lagrange_candidates", "max_rank_check", "sign_gradient",
-    "strong_injectivity_check",
-    "SardStage", "SardTrace", "extend_by_support", "sard_pipeline",
+    "InjectivityReport", "MaxRankReport", "SignGradient", "lagrange_candidates",
+    "max_rank_check", "sign_gradient", "strong_injectivity_check",
+    "SardStage", "SardTrace", "sard_pipeline",
     "Polynomial", "parse_polynomial", "triangulate_variety",
     "GroundState", "NodalReport", "Spectrum", "eigendecompose",
     "eigenfunction_principle_check", "ground_state_surface", "laplacian",

@@ -106,11 +106,10 @@ def _verdict_block(r: VerificationReport) -> dict:
             "witness": r.witness, "expansions": r.expansions}
 
 
-def _verdict_exit(*reports: Optional[VerificationReport]) -> int:
-    live = [r for r in reports if r is not None]
-    if any(r.verdict == "no" for r in live):
+def _verdict_exit(*reports: VerificationReport) -> int:
+    if any(r.verdict == "no" for r in reports):
         return EXIT_NO
-    if any(r.verdict == "resource_limit" for r in live):
+    if any(r.verdict == "resource_limit" for r in reports):
         return EXIT_RESOURCE
     return EXIT_OK
 

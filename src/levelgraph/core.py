@@ -30,7 +30,7 @@ class SimplicialGraph:
         plotting; never consulted by combinatorial code.
     """
 
-    __slots__ = ("n", "neighbors", "labels", "coordinates", "_simplices", "_sphere_cache")
+    __slots__ = ("n", "neighbors", "labels", "coordinates", "_simplices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: Optional[Sequence] = None,
@@ -58,7 +58,6 @@ class SimplicialGraph:
                 raise InputError("coordinates length must equal vertex count")
         self.coordinates = coordinates
         self._simplices = None
-        self._sphere_cache = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -97,34 +96,24 @@ class SimplicialGraph:
         return SimplicialGraph(len(sel), edges, labels=labels, coordinates=coords)
 
     def unit_sphere(self, x: int) -> "SimplicialGraph":
-        """Induced subgraph on the neighbors of x (cached per vertex)."""
-        sphere = self._sphere_cache.get(x)
-        if sphere is None:
-            sphere = self.induced(self.neighbors[x])
-            self._sphere_cache[x] = sphere
-        return sphere
+        """Induced subgraph on the neighbors of x."""
+        return self.induced(self.neighbors[x])
 
     # -- clique complex --------------------------------------------------
 
-    def simplices(self, max_dim: Optional[int] = None) -> tuple[tuple[Simplex, ...], ...]:
+    def simplices(self) -> tuple[tuple[Simplex, ...], ...]:
         """All simplices grouped by dimension, each group in lexicographic order.
 
-        With max_dim set, enumeration stops at that dimension; the full
-        complex is cached after the first unbounded call.
+        The complex is enumerated once and cached.
         """
         if self._simplices is not None:
-            if max_dim is None or max_dim >= len(self._simplices) - 1:
-                return self._simplices
-            return self._simplices[: max_dim + 1]
+            return self._simplices
         groups = []
         # each entry pairs a simplex with the candidate vertices able to extend it
         level = [((v,), sorted(u for u in self.neighbors[v] if u > v))
                  for v in range(self.n)]
-        dim = 0
         while level:
             groups.append(tuple(s for s, _ in level))
-            if max_dim is not None and dim >= max_dim:
-                return tuple(groups)
             nxt = []
             for s, cand in level:
                 for i, v in enumerate(cand):
@@ -132,11 +121,8 @@ class SimplicialGraph:
                     ncand = [u for u in cand[i + 1:] if u in nv]
                     nxt.append((s + (v,), ncand))
             level = nxt
-            dim += 1
-        result = tuple(groups)
-        if max_dim is None:
-            self._simplices = result
-        return result
+        self._simplices = tuple(groups)
+        return self._simplices
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.simplices())

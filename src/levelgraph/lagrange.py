@@ -2,10 +2,10 @@
 
 The sign gradient of f on a top-dimensional simplex, seen from a root
 vertex, records for every other vertex (ascending id) whether f increases
-(bit 1) or decreases (bit 0) from the root.  The crossing gradient does
-the same relative to a level: the bit is set when the other vertex sits
+(bit 1) or decreases (bit 0) from the root.  A crossing vector does the
+same relative to a level: bit j is set when vertex j of the simplex sits
 on the opposite side of the level from the root.  Regularity of a
-simultaneous locus is checked through crossing gradients.
+simultaneous locus is checked through crossing vectors.
 """
 
 from __future__ import annotations
@@ -26,12 +26,6 @@ class SignGradient:
     root: int
     simplex: Simplex
     bits: tuple[int, ...]  # one bit per non-root vertex, ascending vertex id
-
-    def as_int(self) -> int:
-        out = 0
-        for b in self.bits:
-            out = (out << 1) | b
-        return out
 
 
 @dataclass(frozen=True)
@@ -71,14 +65,6 @@ def sign_gradient(values: Sequence, simplex: Simplex, root: int) -> SignGradient
     return SignGradient(root, tuple(simplex), bits)
 
 
-def gradients_at(g: SimplicialGraph, f: Sequence, x: int) -> list[SignGradient]:
-    """Sign gradients of f at x, one per top-dimensional simplex containing x."""
-    values = as_fraction_vector(f, g.n)
-    d = g.dimension()
-    top = g.simplices()[d] if d >= 0 else ()
-    return [sign_gradient(values, s, x) for s in top if x in s]
-
-
 def _gf2_dependent(vectors: list[int]) -> Optional[list[int]]:
     """Indices of a dependent subset, or None when independent over GF(2)."""
     basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, combination mask)
@@ -98,30 +84,17 @@ def _gf2_dependent(vectors: list[int]) -> Optional[list[int]]:
     return None
 
 
-def crossing_gradient(values: Sequence, simplex: Simplex, root: int, level) -> SignGradient:
-    """Which vertices of the simplex lie across the level from the root."""
-    if root not in simplex:
-        raise InputError(f"root {root} not in simplex {simplex}")
-    c = as_fraction(level)
-    for v in simplex:
-        if values[v] == c:
-            raise LevelHitsVertex(v, c)
-    side = values[root] > c
-    bits = tuple(1 if (values[v] > c) != side else 0 for v in simplex if v != root)
-    return SignGradient(root, tuple(simplex), bits)
-
-
 def max_rank_check(g: SimplicialGraph, fs: Sequence[Sequence],
                    levels: Optional[Sequence] = None) -> MaxRankReport:
     """Regularity check for the simultaneous locus at the given levels.
 
     Only top simplices on which every function changes sign matter; the
     locus is built from exactly those and their sub-simplices.  Each one
-    must satisfy two conditions: the crossing gradients of the functions
+    must satisfy two conditions: the crossing vectors of the functions
     are independent over GF(2) at every root, and (for two or more
     functions) at most one edge of the simplex crosses all levels at
     once.  The second condition is what rules out median splits whose
-    gradients look independent from every root but still produce
+    vectors look independent from every root but still produce
     surplus locus triangles.  Levels default to zero.  The first
     violation found is reported with a dependent index subset; a single
     locally injective function always passes.
@@ -150,9 +123,11 @@ def max_rank_check(g: SimplicialGraph, fs: Sequence[Sequence],
             sides.append(tuple(vals[v] > c for v in s))
         if not all(len(set(side)) == 2 for side in sides):
             continue  # some function does not change sign: simplex not in the locus
-        for root in s:
-            vectors = [crossing_gradient(vals, s, root, c).as_int()
-                       for vals, c in zip(functions, cs)]
+        above = [sum(bit << j for j, bit in enumerate(side)) for side in sides]
+        full = (1 << len(s)) - 1
+        for r, root in enumerate(s):
+            # the root's own bit is always clear, so it does not affect the rank
+            vectors = [m ^ full if side[r] else m for m, side in zip(above, sides)]
             checked += 1
             dep = _gf2_dependent(vectors)
             if dep is not None:
@@ -199,8 +174,9 @@ def strong_injectivity_check(g: SimplicialGraph, fs: Sequence[Sequence],
     scope="global" demands that all values of all functions be pairwise
     distinct.  scope="per_simplex" demands, simplex by simplex, that all
     subset sums of the values (denominators cleared) be distinct, so no
-    rational combination with 0/1 coefficients can collide.  A pass is
-    evidence, not a proof of rational independence.
+    rational combination with 0/1 coefficients can collide; more than 20
+    values on a top simplex raise InputError up front.  A pass is evidence,
+    not a proof of rational independence.
     """
     functions = [as_fraction_vector(f, g.n) for f in fs]
     if scope == "global":
@@ -215,12 +191,14 @@ def strong_injectivity_check(g: SimplicialGraph, fs: Sequence[Sequence],
         return InjectivityReport(not failures, scope, tuple(failures))
     if scope != "per_simplex":
         raise InputError(f"unknown scope {scope!r}")
+    largest = (g.dimension() + 1) * len(functions)
+    if largest > 20:
+        raise InputError(f"per-simplex subset check limited to 20 values, "
+                         f"a top simplex has {largest}")
     failures = []
     for group in g.simplices():
         for s in group:
             values = [vals[v] for vals in functions for v in s]
-            if len(values) > 20:
-                raise InputError("per-simplex subset check limited to 20 values")
             denom = 1
             for x in values:
                 denom = denom * x.denominator // gcd(denom, x.denominator)

@@ -15,7 +15,6 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import Simplex, SimplicialGraph
-from .errors import InputError
 from .rational import as_fraction_vector
 
 
@@ -71,15 +70,15 @@ def dimension_coloring(r) -> tuple[int, ...]:
     return tuple(len(s) - 1 for s in r.origin)
 
 
+def extend_by_support(values: Sequence[Fraction],
+                      supports: Sequence[Sequence[int]]) -> list[Fraction]:
+    """Average a vertex function over each support (a simplex or a multiset)."""
+    return [sum(values[v] for v in sup) / len(sup) for sup in supports]
+
+
 def extend_function(f: Sequence, r) -> tuple[Fraction, ...]:
     """Average a parent vertex function over each originating simplex.
 
     The mean is unweighted and exact: values are coerced to Fraction first.
     """
-    values = as_fraction_vector(f, r.parent.n)
-    out = []
-    for s in r.origin:
-        if len(s) == 0:
-            raise InputError("empty origin simplex")
-        out.append(sum(values[v] for v in s) / len(s))
-    return tuple(out)
+    return tuple(extend_by_support(as_fraction_vector(f, r.parent.n), r.origin))

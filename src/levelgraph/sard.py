@@ -13,19 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import SimplicialGraph
 from .errors import ConstantExtension, EmptyStage, IncompatibleLevel, InputError
 from .levelset import LevelSurfaceGraph, level_surface
 from .rational import as_fraction, as_fraction_vector
+from .refine import extend_by_support
 from .topology import VerificationReport, is_dgraph
 
 Support = tuple[int, ...]
 
 EXTENSION_RULE = "flattened-multiset-mean"
 
-# the step by which nudge_level moves a level off a value set
+# the step by which a perturbed pipeline moves a level off a value set
 EPSILON = Fraction(1, 2 ** 64)
 
 
@@ -38,7 +39,7 @@ class SardStage:
     excluded: tuple[Fraction, ...]  # value set of the stage input function
     surface: LevelSurfaceGraph
     support: tuple[Support, ...]
-    verdict: Optional[VerificationReport]
+    verdict: VerificationReport
 
 
 @dataclass(frozen=True)
@@ -54,34 +55,19 @@ class SardTrace:
 
     @property
     def all_regular(self) -> bool:
-        return all(s.verdict is not None and s.verdict.ok for s in self.stages)
-
-
-def extend_by_support(values: Sequence[Fraction],
-                      supports: Sequence[Support]) -> list[Fraction]:
-    """Average a vertex function over each support multiset."""
-    return [sum(values[v] for v in sup) / len(sup) for sup in supports]
-
-
-def nudge_level(stage: int, level: Fraction, excluded: Sequence[Fraction]) -> Fraction:
-    """An adjust_level for sard_pipeline: step level up by EPSILON until it
-    leaves the value set (at most len(excluded) steps)."""
-    while level in excluded:
-        level += EPSILON
-    return level
+        return all(s.verdict.ok for s in self.stages)
 
 
 def sard_pipeline(g: SimplicialGraph, fs: Sequence[Sequence],
-                  cs: Sequence, *, verify: bool = True,
-                  budget: Optional[int] = None,
-                  adjust_level: Optional[Callable] = None) -> SardTrace:
+                  cs: Sequence, *, budget: Optional[int] = None,
+                  perturb: bool = False) -> SardTrace:
     """Cut g along fs[0]=cs[0], then the extension of fs[1]=cs[1], and so on.
 
-    With verify=True each stage graph H_i is checked to be a (d-i)-graph,
-    which is the discrete Sard conclusion for that stage.  adjust_level, if
-    given, is called as adjust_level(stage, level, excluded) whenever a
-    level hits the stage's value set and must return a replacement level;
-    stages record whether this happened.
+    Each stage graph H_i is checked to be a (d-i)-graph, which is the
+    discrete Sard conclusion for that stage.  A level that hits the
+    stage's value set raises IncompatibleLevel, unless perturb is set:
+    then the level is stepped up by EPSILON = 2^-64 until it leaves the
+    value set, and the stage records that it was perturbed.
     """
     k = len(fs)
     d = g.dimension()
@@ -105,23 +91,19 @@ def sard_pipeline(g: SimplicialGraph, fs: Sequence[Sequence],
             raise ConstantExtension(stage, values[0])
         excluded = tuple(sorted(value_set))
         c = levels[i]
-        perturbed = False
-        if c in value_set:
-            if adjust_level is None:
-                witnesses = tuple(v for v in range(current.n) if values[v] == c)
-                raise IncompatibleLevel(stage, c, witnesses)
-            c = as_fraction(adjust_level(stage, c, excluded))
-            perturbed = c != levels[i]
-            if c in value_set:
-                witnesses = tuple(v for v in range(current.n) if values[v] == c)
-                raise IncompatibleLevel(stage, c, witnesses)
+        perturbed = c in value_set
+        if perturbed and not perturb:
+            witnesses = tuple(v for v in range(current.n) if values[v] == c)
+            raise IncompatibleLevel(stage, c, witnesses)
+        while c in value_set:
+            c += EPSILON
         surface = level_surface(current, values, c)
         if surface.graph.n == 0:
             raise EmptyStage(stage, c)
         new_supports = tuple(
             tuple(sorted(chain.from_iterable(supports[u] for u in origin)))
             for origin in surface.origin)
-        verdict = is_dgraph(surface.graph, d - stage, budget=budget) if verify else None
+        verdict = is_dgraph(surface.graph, d - stage, budget=budget)
         stages.append(SardStage(stage, c, perturbed, tuple(values), excluded,
                                 surface, new_supports, verdict))
         current = surface.graph

@@ -22,8 +22,11 @@ import numpy as np
 from .core import SimplicialGraph
 from .errors import ConvergenceFailure, InputError, ZeroOnVertex
 from .levelset import LevelSurfaceGraph, level_surface
-from .sard import SardTrace, nudge_level, sard_pipeline
+from .sard import SardTrace, sard_pipeline
 from .topology import VerificationReport, components, is_sphere
+
+ZERO_TOL = 1e-9  # float entries this close to 0 count as zeros
+EIGENVALUE_MARGIN = 1e-8  # eigenvalues this close to 0 or n are taken as 0 or n
 
 
 @dataclass(frozen=True)
@@ -159,24 +162,23 @@ def spectrum_of(g: SimplicialGraph) -> Spectrum:
     return eigendecompose(L)
 
 
-def signed_components(g: SimplicialGraph, values: Sequence[float],
-                      zero_tol: float = 1e-9) -> tuple[int, int]:
-    """Component counts of the subgraphs induced by f > zero_tol and f < -zero_tol."""
-    pos = [v for v in range(g.n) if values[v] > zero_tol]
-    neg = [v for v in range(g.n) if values[v] < -zero_tol]
+def signed_components(g: SimplicialGraph, values: Sequence[float]) -> tuple[int, int]:
+    """Component counts of the subgraphs induced by f > ZERO_TOL and f < -ZERO_TOL."""
+    pos = [v for v in range(g.n) if values[v] > ZERO_TOL]
+    neg = [v for v in range(g.n) if values[v] < -ZERO_TOL]
     return len(components(g.induced(pos))), len(components(g.induced(neg)))
 
 
-def _rationalize(vector: Sequence[float], zero_tol: float, perturb: bool,
+def _rationalize(vector: Sequence[float], perturb: bool,
                  seed: Optional[int]) -> tuple[list[Fraction], bool]:
     """Exact rational copy of a float vector with no zero entries.
 
-    Entries within zero_tol of 0 are only acceptable after the seeded
+    Entries within ZERO_TOL of 0 are only acceptable after the seeded
     perturbation (uniform entries in [-1e-6, 1e-6]) documented in the
     nodal-surface recipe.
     """
     values = [Fraction(float(x)) for x in vector]
-    zeros = [v for v, x in enumerate(vector) if abs(x) <= zero_tol]
+    zeros = [v for v, x in enumerate(vector) if abs(x) <= ZERO_TOL]
     if not zeros:
         return values, False
     if not perturb:
@@ -189,12 +191,12 @@ def _rationalize(vector: Sequence[float], zero_tol: float, perturb: bool,
     raise ZeroOnVertex(zeros[0], float(vector[zeros[0]]))  # pragma: no cover
 
 
-def nodal_report(g: SimplicialGraph, k: int, zero_tol: float = 1e-9, *,
+def nodal_report(g: SimplicialGraph, k: int, *,
                  perturb: bool = False, seed: Optional[int] = 0,
                  spectrum: Optional[Spectrum] = None) -> NodalReport:
     """Nodal data of the k-th eigenvector (ascending, 1-indexed).
 
-    Components are counted strictly beyond zero_tol on the original float
+    Components are counted strictly beyond ZERO_TOL on the original float
     vector.  The nodal surface {f=0} is built from the rationalized vector;
     vertices at zero either abort (perturb=False) or are moved off zero by
     a recorded seeded perturbation.
@@ -206,9 +208,9 @@ def nodal_report(g: SimplicialGraph, k: int, zero_tol: float = 1e-9, *,
     if spectrum is None:
         spectrum = spectrum_of(g)
     vec = tuple(float(x) for x in spectrum.eigenvectors[:, k - 1])
-    zero_vertices = tuple(v for v in range(g.n) if abs(vec[v]) <= zero_tol)
-    pos_comp, neg_comp = signed_components(g, vec, zero_tol)
-    rational, perturbed = _rationalize(vec, zero_tol, perturb, seed)
+    zero_vertices = tuple(v for v in range(g.n) if abs(vec[v]) <= ZERO_TOL)
+    pos_comp, neg_comp = signed_components(g, vec)
+    rational, perturbed = _rationalize(vec, perturb, seed)
     surface = level_surface(g, rational, Fraction(0))
     crossing = sum(1 for u, v in g.edges() if (rational[u] > 0) != (rational[v] > 0))
     d = g.dimension()
@@ -223,8 +225,8 @@ def nodal_report(g: SimplicialGraph, k: int, zero_tol: float = 1e-9, *,
 
 
 def eigenfunction_principle_check(g: SimplicialGraph,
-                                  spectrum: Optional[Spectrum] = None,
-                                  margin: float = 1e-8) -> list[tuple[int, float, float]]:
+                                  spectrum: Optional[Spectrum] = None
+                                  ) -> list[tuple[int, float, float]]:
     """|f(v)| for every dominating vertex v and eigenvalue strictly in (0, n).
 
     Eigenfunctions to such eigenvalues vanish on vertices adjacent to
@@ -236,13 +238,12 @@ def eigenfunction_principle_check(g: SimplicialGraph,
     out = []
     for v in hubs:
         for i, lam in enumerate(spectrum.eigenvalues):
-            if margin < lam < g.n - margin:
+            if EIGENVALUE_MARGIN < lam < g.n - EIGENVALUE_MARGIN:
                 out.append((v, lam, abs(float(spectrum.eigenvectors[v, i]))))
     return out
 
 
 def ground_state_surface(g: SimplicialGraph, *, seed: int = 0,
-                         zero_tol: float = 1e-9,
                          budget: Optional[int] = None,
                          spectrum: Optional[Spectrum] = None) -> GroundState:
     """Nodal surface of the first nonzero mode, checked against a sphere.
@@ -255,15 +256,14 @@ def ground_state_surface(g: SimplicialGraph, *, seed: int = 0,
     if spectrum is None:
         spectrum = spectrum_of(g)
     d = g.dimension()
-    nodal = nodal_report(g, 2, zero_tol, perturb=True, seed=seed, spectrum=spectrum)
+    nodal = nodal_report(g, 2, perturb=True, seed=seed, spectrum=spectrum)
     sphere = is_sphere(nodal.surface.graph, d - 1, budget=budget)
     double = double_comp = double_verdict = double_error = None
     if d == 3:
         try:
-            v3, _ = _rationalize(spectrum.eigenvectors[:, 2], zero_tol,
-                                 True, seed + 1)
+            v3, _ = _rationalize(spectrum.eigenvectors[:, 2], True, seed + 1)
             double = sard_pipeline(g, [nodal.rational, v3], [0, 0],
-                                   budget=budget, adjust_level=nudge_level)
+                                   budget=budget, perturb=True)
             double_comp = len(components(double.final))
             double_verdict = double.stages[-1].verdict
         except Exception as e:  # experimental harness: report, do not raise

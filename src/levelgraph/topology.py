@@ -163,11 +163,17 @@ def _contractible(base, active, budget) -> bool:
 def is_contractible(g: SimplicialGraph, budget: Optional[int] = None) -> VerificationReport:
     def decide(search):
         active = frozenset(range(g.n))
-        if (euler_characteristic(g) == 1 and _connected(g, active)
-                and _contractible(g, active, search)):
+        if g.n == 0:
+            return VerificationReport("no", witness="empty graph")
+        if not _connected(g, active):
+            return VerificationReport("no", witness="graph is disconnected")
+        chi = euler_characteristic(g)
+        if chi != 1:
+            return VerificationReport(
+                "no", witness=f"Euler characteristic {chi}, a contractible graph has 1")
+        if _contractible(g, active, search):
             return VerificationReport("yes", dimension=g.dimension())
-        witness = "empty graph" if g.n == 0 else "no vertex removal sequence reaches a point"
-        return VerificationReport("no", witness=witness)
+        return VerificationReport("no", witness="no vertex removal sequence reaches a point")
     return _verify(decide, budget)
 
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 from .catalog import kuhn_grid
 from .errors import InputError, UnparsablePolynomial
 from .rational import as_fraction
-from .sard import SardTrace, nudge_level, sard_pipeline
+from .sard import SardTrace, sard_pipeline
 
 _ALIASES = ("x", "y", "z", "w")
 
@@ -122,8 +122,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 def triangulate_variety(polys: Sequence[Union[str, Polynomial]],
                         domain: Sequence[Sequence], step,
                         periodic: bool = False, *,
-                        budget: Optional[int] = None,
-                        auto_perturb: bool = True) -> SardTrace:
+                        budget: Optional[int] = None) -> SardTrace:
     """Triangulate the common zero set of polynomials over a box.
 
     domain is a list of (lo, hi) pairs, one per variable; step must divide
@@ -156,4 +155,4 @@ def triangulate_variety(polys: Sequence[Union[str, Polynomial]],
     values = [[p.evaluate(pt) for pt in points] for p in parsed]
 
     return sard_pipeline(grid, values, [Fraction(0)] * len(parsed), budget=budget,
-                         adjust_level=nudge_level if auto_perturb else None)
+                         perturb=True)

@@ -5,6 +5,7 @@ Validates:
     - clique enumeration against a subset-scan oracle
     - Euler characteristic, additivity, join formula
     - Zykov join building spheres from spheres
+    - every name the package exports resolves and is listed once
 """
 
 import random
@@ -12,6 +13,7 @@ from itertools import combinations
 
 import pytest
 
+import levelgraph
 from levelgraph.core import SimplicialGraph, disjoint_union, euler_characteristic, join
 from levelgraph.catalog import cross_polytope, cycle, icosahedron, octahedron, wheel
 from levelgraph.errors import InputError
@@ -127,3 +129,10 @@ def test_induced_labels_track_parent():
     h = g.induced([1, 3, 4])
     assert h.n == 3
     assert [h.label_of(v) for v in range(3)] == [1, 3, 4]
+
+
+def test_exports_resolve_once():
+    names = levelgraph.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(levelgraph, name), name

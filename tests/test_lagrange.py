@@ -5,9 +5,11 @@ Validates:
     - dependency reporting over GF(2), including the pairwise-independent
       triple whose sum vanishes
     - regularity filtering: rank-passing pairs give circle loci at level 0
-      on the 16-cell, median splits and equal pairs are rejected
+      on the 16-cell, median splits and equal pairs are rejected, and a
+      level on a vertex value raises
     - candidate triangles against an edge-sign oracle
-    - the subset-sum injectivity surrogate
+    - the subset-sum injectivity surrogate and its 20-value cap, checked
+      before any enumeration
 """
 
 import random
@@ -17,9 +19,8 @@ import pytest
 
 from levelgraph.core import SimplicialGraph
 from levelgraph.catalog import icosahedron, octahedron, sixteen_cell
-from levelgraph.errors import LevelHitsVertex, TieOnSimplex
-from levelgraph.lagrange import (crossing_gradient, gradients_at, lagrange_candidates,
-                                 max_rank_check, sign_gradient,
+from levelgraph.errors import InputError, LevelHitsVertex, TieOnSimplex
+from levelgraph.lagrange import (lagrange_candidates, max_rank_check, sign_gradient,
                                  strong_injectivity_check)
 from levelgraph.levelset import simultaneous_locus
 from levelgraph.topology import is_dgraph
@@ -49,21 +50,6 @@ def test_opposite_function_complements():
 def test_tie_detection():
     with pytest.raises(TieOnSimplex):
         sign_gradient([Fraction(1), Fraction(1), Fraction(2)], (0, 1, 2), 0)
-
-
-def test_gradients_at_counts():
-    g = octahedron()
-    f = list(range(6))
-    out = gradients_at(g, f, 0)
-    assert len(out) == 4  # vertex 0 lies in four triangles
-
-
-def test_crossing_gradient_level():
-    vals = [Fraction(x) for x in (5, -1, 3, -4)]
-    cg = crossing_gradient(vals, (0, 1, 2, 3), 0, 0)
-    assert cg.bits == (1, 0, 1)
-    with pytest.raises(LevelHitsVertex):
-        crossing_gradient(vals, (0, 1, 2, 3), 0, 3)
 
 
 def test_dependent_triple_reported():
@@ -125,6 +111,8 @@ def test_level_aware_check():
     locus = simultaneous_locus(g, [f, h], [100, 100])
     assert locus.graph.n == 8
     assert is_dgraph(locus.graph, 1).ok
+    with pytest.raises(LevelHitsVertex):
+        max_rank_check(k4(), [[5, -1, 3, -4]], [3])
 
 
 def test_candidates_all_triangles_for_equal_functions():
@@ -181,3 +169,9 @@ def test_injectivity_random_rationals(rng):
     h = [Fraction(rng.getrandbits(48) + 1, rng.getrandbits(16) + 1) for _ in range(6)]
     assert strong_injectivity_check(g, [f, h]).passed
     assert strong_injectivity_check(g, [f, h], scope="per_simplex").passed
+
+
+def test_injectivity_per_simplex_cap_checked_before_enumerating():
+    fs = [[10 * i + v + 1 for v in range(6)] for i in range(10)]
+    with pytest.raises(InputError, match="limited to 20 values, a top simplex has 30"):
+        strong_injectivity_check(octahedron(), fs, scope="per_simplex")

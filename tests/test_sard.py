@@ -5,7 +5,7 @@ Validates:
     - order asymmetry of the antisymmetric eigenvector pair
     - stagewise excluded values exactly flag the incompatible levels
     - k=d pipelines ending in a 0-graph
-    - adjust_level recovery and error reporting
+    - perturbed levels and error reporting
 """
 
 import random
@@ -17,7 +17,7 @@ import pytest
 from levelgraph.core import SimplicialGraph
 from levelgraph.catalog import cross_polytope, octahedron
 from levelgraph.errors import ConstantExtension, EmptyStage, IncompatibleLevel
-from levelgraph.sard import extend_by_support, sard_pipeline
+from levelgraph.sard import EPSILON, extend_by_support, sard_pipeline
 from levelgraph.topology import is_dgraph
 
 from conftest import gap_level, paper_octahedron, random_injective
@@ -105,18 +105,13 @@ def test_order_asymmetry_of_eigenvector_pair():
     assert len(second.value.witnesses) == 2
 
 
-def test_adjust_level_recovers():
+def test_perturb_recovers():
     g = paper_octahedron()
-    bumps = []
-
-    def adjust(stage, value, excluded):
-        bumps.append((stage, value))
-        return value + Fraction(1, 1000)
-
-    trace = sard_pipeline(g, [F, F], [2, 10], adjust_level=adjust)
-    assert bumps == [(2, 10)]
+    trace = sard_pipeline(g, [F, F], [2, 10], perturb=True)
+    assert not trace.stages[0].perturbed
+    assert trace.stages[0].level == 2
     assert trace.stages[1].perturbed
-    assert trace.stages[1].level == Fraction(10001, 1000)
+    assert trace.stages[1].level == 10 + EPSILON
 
 
 def test_constant_extension():
@@ -136,7 +131,7 @@ def chained_levels(g, fs, rng):
     # choose each stage level inside a gap of the extended value set
     cs = [gap_level(fs[0], rng)]
     for i in range(1, len(fs)):
-        trace = sard_pipeline(g, fs[:i], cs, verify=False)
+        trace = sard_pipeline(g, fs[:i], cs)
         ext = extend_by_support(
             [Fraction(x) for x in fs[i]], trace.stages[-1].support)
         cs.append(gap_level(ext, rng))

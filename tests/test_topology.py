@@ -322,6 +322,11 @@ def test_annulus_not_contractible_without_search():
     r = is_contractible(annulus(6))
     assert r.verdict == "no"
     assert r.expansions == 0
+    assert r.witness == "Euler characteristic 0, a contractible graph has 1"
+    r = is_contractible(disjoint_union(cycle(4), SimplicialGraph(1, [])))
+    assert r.verdict == "no"
+    assert r.expansions == 0
+    assert r.witness == "graph is disconnected"
 
 
 def test_memo_prunes_repeated_subgraphs():
