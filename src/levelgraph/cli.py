@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -53,8 +52,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _json_default(x):
+    """Write a Fraction as "p/q"; json.dumps calls this for what it cannot encode."""
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _load_graph(spec: str) -> graphdoc.GraphDocument:
@@ -68,14 +70,6 @@ def _load_graph(spec: str) -> graphdoc.GraphDocument:
         raise InputError(f"cannot read graph file {spec}: {e.strerror}") from None
     except UnicodeDecodeError:
         raise InputError(f"graph file is not UTF-8 text: {spec}") from None
-
-
-@contextmanager
-def _writing(path: str):
-    try:
-        yield
-    except OSError as e:
-        raise InputError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _function_values(doc: graphdoc.GraphDocument, name: str) -> list[Fraction]:
@@ -123,20 +117,41 @@ def _surface_block(g: SimplicialGraph) -> dict:
     return block
 
 
-def _export(graph_or_surface, fmt: str, args) -> None:
-    with _writing(args.out):
-        if fmt == "json":
-            g = getattr(graph_or_surface, "graph", graph_or_surface)
-            graphdoc.save(graphdoc.GraphDocument(g), args.out)
-        else:
-            export_mesh(graph_or_surface, fmt, args.out, budget=args.budget)
-
-
-def _maybe_export(graph_or_surface, args, report: dict) -> None:
+def _export(target, args, report: dict, fmt: Optional[str] = None,
+            values: Optional[dict] = None) -> None:
+    """Write target to --out, as a graph document (the default) or a mesh, and
+    record the path in the report; without --out nothing is written."""
     if not args.out:
         return
-    _export(graph_or_surface, args.format or "json", args)
+    try:
+        if (fmt or "json") == "json":
+            g = getattr(target, "graph", target)
+            graphdoc.save(graphdoc.GraphDocument(g, values or {}), args.out)
+        else:
+            export_mesh(target, fmt, args.out, budget=args.budget)
+    except OSError as e:
+        raise InputError(f"cannot write {args.out}: {e.strerror}") from None
     report["out"] = args.out
+
+
+def _one_cut(args, doc: graphdoc.GraphDocument) -> tuple[list[Fraction], Fraction]:
+    """The single --function and --level that levelset and export take."""
+    if len(args.function) != 1 or len(args.level) != 1:
+        raise InputError(f"{args.command} needs exactly one --function and one --level")
+    return _function_values(doc, args.function[0]), as_fraction(args.level[0])
+
+
+def _stages(trace, args, report: dict, excluded: bool = False) -> int:
+    """Put the per-stage blocks of a Sard trace in the report, export the last
+    stage's surface, and return the exit code of the stage verdicts."""
+    report["stages"] = [
+        {"stage": s.function_index, "level": s.level, "perturbed": s.perturbed,
+         **({"excluded_values": s.excluded} if excluded else {}),
+         "surface": _surface_block(s.surface.graph),
+         "verification": _verdict_block(s.verdict)}
+        for s in trace.stages]
+    _export(trace.stages[-1].surface, args, report, args.format)
+    return _verdict_exit(*(s.verdict for s in trace.stages))
 
 
 def _budget(args) -> Optional[int]:
@@ -158,129 +173,79 @@ def _budget(args) -> Optional[int]:
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_verify(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
+def _cmd_verify(args, doc) -> tuple[dict, int]:
     dim = args.dim if args.dim is not None else doc.graph.dimension()
     report = is_dgraph(doc.graph, dim, budget=args.budget)
-    out = {"graph": _graph_block(doc.graph), "dimension": dim,
-           "verification": _verdict_block(report)}
-    return out, _verdict_exit(report)
+    return {"dimension": dim, "verification": _verdict_block(report)}, _verdict_exit(report)
 
 
-def _cmd_euler(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
-    return {"graph": _graph_block(doc.graph)}, EXIT_OK
+def _cmd_euler(args, doc) -> tuple[dict, int]:
+    return {}, EXIT_OK
 
 
-def _cmd_curvature(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
+def _cmd_curvature(args, doc) -> tuple[dict, int]:
     k = curvature(doc.graph)
-    chi = euler_characteristic(doc.graph)
-    return {"graph": _graph_block(doc.graph),
-            "curvature": [_rat(x) for x in k.values],
-            "total": _rat(k.total),
-            "matches_euler_characteristic": k.total == chi}, EXIT_OK
+    return {"curvature": k.values, "total": k.total,
+            "matches_euler_characteristic": k.total == euler_characteristic(doc.graph)}, EXIT_OK
 
 
-def _cmd_refine(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
+def _cmd_refine(args, doc) -> tuple[dict, int]:
     refined = barycentric(doc.graph)
-    out = {"graph": _graph_block(doc.graph), "refined": _graph_block(refined.graph)}
-    if args.out:
-        values = {name: extend_function(vals, refined)
-                  for name, vals in doc.values.items()}
-        with _writing(args.out):
-            graphdoc.save(graphdoc.GraphDocument(refined.graph, values), args.out)
-        out["out"] = args.out
+    out = {"refined": _graph_block(refined.graph)}
+    # the extended functions are only written, so they are only computed for --out
+    values = {name: extend_function(vals, refined)
+              for name, vals in doc.values.items()} if args.out else None
+    _export(refined.graph, args, out, values=values)
     return out, EXIT_OK
 
 
-def _cmd_levelset(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
-    if len(args.function) != 1 or len(args.level) != 1:
-        raise InputError("levelset needs exactly one --function and one --level")
-    f = _function_values(doc, args.function[0])
-    c = as_fraction(args.level[0])
+def _cmd_levelset(args, doc) -> tuple[dict, int]:
+    f, c = _one_cut(args, doc)
     surface = level_surface(doc.graph, f, c)
     verdict = is_dgraph(surface.graph, doc.graph.dimension() - 1, budget=args.budget)
-    out = {"graph": _graph_block(doc.graph), "level": _rat(c),
-           "surface": _surface_block(surface.graph),
+    out = {"level": c, "surface": _surface_block(surface.graph),
            "verification": _verdict_block(verdict)}
-    _maybe_export(surface, args, out)
+    _export(surface, args, out, args.format)
     return out, _verdict_exit(verdict)
 
 
-def _cmd_simultaneous(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
-    if not args.function or len(args.function) != len(args.level):
-        raise InputError("simultaneous needs matching --function/--level lists")
+def _cmd_simultaneous(args, doc) -> tuple[dict, int]:
     fs = [_function_values(doc, name) for name in args.function]
     cs = [as_fraction(c) for c in args.level]
     locus = simultaneous_locus(doc.graph, fs, cs)
     verdict = is_dgraph(locus.graph, doc.graph.dimension() - len(fs),
                         budget=args.budget)
-    out = {"graph": _graph_block(doc.graph),
-           "levels": [_rat(c) for c in cs],
-           "locus": _surface_block(locus.graph),
+    out = {"levels": cs, "locus": _surface_block(locus.graph),
            "verification": _verdict_block(verdict)}
-    _maybe_export(locus, args, out)
+    _export(locus, args, out, args.format)
     return out, _verdict_exit(verdict)
 
 
-def _cmd_sard(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
-    if not args.function or len(args.function) != len(args.level):
-        raise InputError("sard needs matching --function/--level lists")
+def _cmd_sard(args, doc) -> tuple[dict, int]:
     fs = [_function_values(doc, name) for name in args.function]
-    cs = [as_fraction(c) for c in args.level]
-    trace = sard_pipeline(doc.graph, fs, cs, budget=args.budget)
-    stages = []
-    for s in trace.stages:
-        stages.append({
-            "stage": s.function_index,
-            "level": _rat(s.level),
-            "perturbed": s.perturbed,
-            "excluded_values": [_rat(x) for x in s.excluded],
-            "surface": _surface_block(s.surface.graph),
-            "verification": _verdict_block(s.verdict),
-        })
-    out = {"graph": _graph_block(doc.graph),
-           "extension_rule": trace.extension_rule, "stages": stages}
-    _maybe_export(trace.stages[-1].surface, args, out)
-    return out, _verdict_exit(*(s.verdict for s in trace.stages))
+    trace = sard_pipeline(doc.graph, fs, args.level, budget=args.budget)
+    out = {"extension_rule": trace.extension_rule}
+    code = _stages(trace, args, out, excluded=True)
+    return out, code
 
 
-def _cmd_lagrange(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
-    if not args.function:
-        raise InputError("lagrange needs at least one --function")
+def _cmd_lagrange(args, doc) -> tuple[dict, int]:
     fs = [_function_values(doc, name) for name in args.function]
-    levels = [as_fraction(x) for x in args.level] if args.level else None
-    if levels is not None and len(levels) != len(fs):
-        raise InputError("need one --level per --function")
-    rank = max_rank_check(doc.graph, fs, levels)
-    out = {"graph": _graph_block(doc.graph),
-           "max_rank": {"ok": rank.ok, "checked": rank.checked,
-                        "simplex": list(rank.simplex) if rank.simplex else None,
-                        "root": rank.root,
-                        "dependent": list(rank.dependent)},
-           "injectivity": {
-               "global": strong_injectivity_check(doc.graph, fs, "global").passed,
-               "per_simplex": strong_injectivity_check(doc.graph, fs, "per_simplex").passed,
-           }}
+    rank = max_rank_check(doc.graph, fs, args.level or None)
+    injectivity = {"global": strong_injectivity_check(doc.graph, fs, "global").passed}
+    try:
+        injectivity["per_simplex"] = strong_injectivity_check(doc.graph, fs, "per_simplex").passed
+    except InputError as e:  # over the subset-check cap: the rest of the report stands
+        injectivity.update(per_simplex=None, per_simplex_error=str(e))
+    out = {"max_rank": {"ok": rank.ok, "checked": rank.checked, "simplex": rank.simplex,
+                        "root": rank.root, "dependent": rank.dependent},
+           "injectivity": injectivity}
     if len(fs) == 2 and doc.graph.dimension() == 2:
-        cands = lagrange_candidates(doc.graph, fs[0], fs[1], budget=args.budget)
-        out["candidates"] = [list(t) for t in cands]
+        out["candidates"] = lagrange_candidates(doc.graph, fs[0], fs[1], budget=args.budget)
     return out, EXIT_OK
 
 
-def _cmd_variety(args) -> tuple[dict, int]:
-    if not args.poly:
-        raise InputError("variety needs at least one --poly")
-    if not args.domain:
-        raise InputError("variety needs --domain \"a,b;a,b;...\"")
-    if not args.step:
-        raise InputError("variety needs --step")
+def _cmd_variety(args, doc) -> tuple[dict, int]:
     box = []
     for i, axis in enumerate(args.domain.split(";")):
         parts = [p.strip() for p in axis.split(",")]
@@ -289,23 +254,15 @@ def _cmd_variety(args) -> tuple[dict, int]:
         box.append((as_fraction(parts[0]), as_fraction(parts[1])))
     trace = triangulate_variety(args.poly, box, as_fraction(args.step),
                                 periodic=args.periodic, budget=args.budget)
-    stages = [{"stage": s.function_index, "level": _rat(s.level),
-               "perturbed": s.perturbed,
-               "surface": _surface_block(s.surface.graph),
-               "verification": _verdict_block(s.verdict)}
-              for s in trace.stages]
-    out = {"polynomials": list(args.poly), "grid": _graph_block(trace.graph),
-           "stages": stages}
-    _maybe_export(trace.stages[-1].surface, args, out)
-    return out, _verdict_exit(*(s.verdict for s in trace.stages))
+    out = {"polynomials": args.poly, "grid": _graph_block(trace.graph)}
+    code = _stages(trace, args, out)
+    return out, code
 
 
-def _cmd_spectrum(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
+def _cmd_spectrum(args, doc) -> tuple[dict, int]:
     spec = spectrum_of(doc.graph)
     principle = eigenfunction_principle_check(doc.graph, spec)
-    out = {"graph": _graph_block(doc.graph),
-           "eigenvalues": [float(x) for x in spec.eigenvalues],
+    out = {"eigenvalues": [float(x) for x in spec.eigenvalues],
            "max_residual": max(spec.residuals, default=0.0),
            "solver": "eigh",
            "eigenfunction_principle": [
@@ -314,39 +271,35 @@ def _cmd_spectrum(args) -> tuple[dict, int]:
     return out, EXIT_OK
 
 
-def _cmd_nodal(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
+def _cmd_nodal(args, doc) -> tuple[dict, int]:
     report = nodal_report(doc.graph, args.k,
                           perturb=args.seed is not None,
                           seed=args.seed if args.seed is not None else 0)
-    out = {"graph": _graph_block(doc.graph),
-           "k": report.k,
+    out = {"k": report.k,
            "eigenvalue": report.eigenvalue,
            "positive_components": report.positive_components,
            "negative_components": report.negative_components,
-           "zero_vertices": list(report.zero_vertices),
+           "zero_vertices": report.zero_vertices,
            "perturbed": report.perturbed,
            "seed": report.seed,
            "crossing_edges": report.crossing_edges,
            "positive_simplices": report.positive_simplices,
            "negative_simplices": report.negative_simplices,
-           "cheeger": None if report.cheeger is None else _rat(report.cheeger),
+           "cheeger": report.cheeger,
            "surface": _surface_block(report.surface.graph)}
-    _maybe_export(report.surface, args, out)
+    _export(report.surface, args, out, args.format)
     return out, EXIT_OK
 
 
-def _cmd_ground_state(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
+def _cmd_ground_state(args, doc) -> tuple[dict, int]:
     gs = ground_state_surface(doc.graph, seed=args.seed if args.seed is not None else 0,
                               budget=args.budget)
-    out = {"graph": _graph_block(doc.graph),
-           "spectral_gap": gs.gap,
+    out = {"spectral_gap": gs.gap,
            "nodal": {
                "positive_components": gs.nodal.positive_components,
                "negative_components": gs.nodal.negative_components,
                "perturbed": gs.nodal.perturbed,
-               "cheeger": None if gs.nodal.cheeger is None else _rat(gs.nodal.cheeger),
+               "cheeger": gs.nodal.cheeger,
                "surface": _surface_block(gs.nodal.surface.graph),
            },
            "sphere_verification": _verdict_block(gs.sphere)}
@@ -357,27 +310,23 @@ def _cmd_ground_state(args) -> tuple[dict, int]:
             else _verdict_block(gs.double_verdict),
             "error": gs.double_error,
         }
-    _maybe_export(gs.nodal.surface, args, out)
+    _export(gs.nodal.surface, args, out, args.format)
     # experimental harness: "no" is a finding, not a failure; budget overruns still exit 3
     code = EXIT_RESOURCE if gs.sphere.verdict == "resource_limit" else EXIT_OK
     return out, code
 
 
-def _cmd_export(args) -> tuple[dict, int]:
-    doc = _load_graph(args.graph)
+def _cmd_export(args, doc) -> tuple[dict, int]:
     if not args.out:
         raise InputError("export needs --out FILE")
     target = doc.graph
-    out = {"graph": _graph_block(doc.graph)}
+    out = {}
     if args.function or args.level:
-        if len(args.function) != 1 or len(args.level) != 1:
-            raise InputError("export takes one --function with one --level")
-        f = _function_values(doc, args.function[0])
-        target = level_surface(doc.graph, f, as_fraction(args.level[0]))
+        f, c = _one_cut(args, doc)
+        target = level_surface(doc.graph, f, c)
         out["surface"] = _surface_block(target.graph)
     fmt = args.format or "obj"
-    _export(target, fmt, args)
-    out["out"] = args.out
+    _export(target, args, out, fmt)
     out["format"] = fmt
     return out, EXIT_OK
 
@@ -395,9 +344,9 @@ _OPTIONS = {
     "--out": dict(default=None),
     "--format": dict(choices=["off", "obj", "json"], default=None),
     "--periodic": dict(action="store_true"),
-    "--step": dict(default=None),
-    "--domain": dict(default=None, help='box as "a,b;a,b;..."'),
-    "--poly": dict(action="append", default=[],
+    "--step": dict(required=True),
+    "--domain": dict(required=True, help='box as "a,b;a,b;..."'),
+    "--poly": dict(action="append", required=True,
                    help="polynomial in x1..xd / x,y,z,w (repeatable)"),
 }
 
@@ -444,18 +393,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         handler, options = _COMMANDS[args.command]
         if "--budget" in options:
             args.budget = _budget(args)
-        report, code = handler(args)
+        report = {"command": args.command}
+        doc = None
+        if "--graph" in options:
+            doc = _load_graph(args.graph)
+            report["graph"] = _graph_block(doc.graph)
+        body, code = handler(args, doc)
+        report.update(body, timings={"total_s": round(time.perf_counter() - start, 6)})
+        note = f"exit {code}"
     except LevelGraphError as e:
         report = {"command": args.command,
                   "error": {"type": type(e).__name__, "message": str(e)}}
-        print(json.dumps(report, indent=2))
-        prog = f"levelgraph {args.command}" if args.command else "levelgraph"
-        print(f"{prog}: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    report = {"command": args.command, **report,
-              "timings": {"total_s": round(time.perf_counter() - start, 6)}}
-    print(json.dumps(report, indent=2))
-    print(f"levelgraph {args.command}: exit {code}", file=sys.stderr)
+        code = EXIT_INPUT
+        note = f"{type(e).__name__}: {e}"
+    print(json.dumps(report, indent=2, default=_json_default))
+    prog = f"levelgraph {args.command}" if args.command else "levelgraph"
+    print(f"{prog}: {note}", file=sys.stderr)
     return code
 
 

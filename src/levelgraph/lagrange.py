@@ -202,12 +202,27 @@ def strong_injectivity_check(g: SimplicialGraph, fs: Sequence[Sequence],
             denom = 1
             for x in values:
                 denom = denom * x.denominator // gcd(denom, x.denominator)
-            ints = [int(x * denom) for x in values]
-            sums = {}
-            for mask in range(1 << len(ints)):
-                total = sum(ints[i] for i in range(len(ints)) if mask >> i & 1)
-                if total in sums and sums[total] != mask:
-                    failures.append((s, sums[total], mask))
-                    break
-                sums.setdefault(total, mask)
+            clash = _equal_subset_sums([int(x * denom) for x in values])
+            if clash is not None:
+                failures.append((s, *clash))
     return InjectivityReport(not failures, scope, tuple(failures))
+
+
+def _equal_subset_sums(ints: list[int]) -> Optional[tuple[int, int]]:
+    """The first pair (earlier, mask) of subset masks, in ascending mask order,
+    whose sums are equal; None when all 2^n subset sums are distinct.
+
+    totals[mask] is the sum of the subset mask, built by doubling: the sums
+    with bit i set are the sums of masks below 2^i plus ints[i].  While no
+    sum repeats, the new sums are distinct among themselves, so a repeat
+    can only be with an earlier block."""
+    totals = [0]
+    seen = {0}
+    for i, x in enumerate(ints):
+        block = [t + x for t in totals]
+        if not seen.isdisjoint(block):
+            low = next(j for j, t in enumerate(block) if t in seen)
+            return totals.index(block[low]), (1 << i) + low
+        totals += block
+        seen.update(block)
+    return None

@@ -45,12 +45,10 @@ def _check_locally_injective(g, values):
             raise NotLocallyInjective((u, v), values[u])
 
 
-def _half_spheres(g, values, x):
-    sel = sorted(g.neighbors[x])
+def _half_sphere(g, values, x, below: bool = True):
+    """S^-(x), or S^+(x) when below is false: the unit sphere of x below (above) f(x)."""
     fx = values[x]
-    below = [v for v in sel if values[v] < fx]
-    above = [v for v in sel if values[v] > fx]
-    return g.induced(below), g.induced(above)
+    return g.induced([v for v in sorted(g.neighbors[x]) if (values[v] < fx) == below])
 
 
 def ph_index(g: SimplicialGraph, f: Sequence, x: int,
@@ -58,7 +56,7 @@ def ph_index(g: SimplicialGraph, f: Sequence, x: int,
     """Index, symmetric index and second-derivative-test classification at x."""
     values = as_fraction_vector(f, g.n)
     _check_locally_injective(g, values)
-    lower, upper = _half_spheres(g, values, x)
+    lower, upper = _half_sphere(g, values, x), _half_sphere(g, values, x, below=False)
     index = 1 - euler_characteristic(lower)
     index_neg = 1 - euler_characteristic(upper)
     symmetric = Fraction(index + index_neg, 2)
@@ -86,8 +84,7 @@ def ph_sum_check(g: SimplicialGraph, f: Sequence) -> tuple[int, int]:
     _check_locally_injective(g, values)
     total = 0
     for x in range(g.n):
-        lower, _ = _half_spheres(g, values, x)
-        total += 1 - euler_characteristic(lower)
+        total += 1 - euler_characteristic(_half_sphere(g, values, x))
     return total, euler_characteristic(g)
 
 

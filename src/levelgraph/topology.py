@@ -208,44 +208,59 @@ def _sphere(base, active, d, budget) -> bool:
     if hit is not None:
         return hit
     budget.spend()
-    result = True
-    for x in sorted(active):
-        if not _sphere(base, base.neighbors[x] & active, d - 1, budget):
-            result = False
-            break
-    if result:  # G and every S(x) are connected, so every G-x is connected
-        order = sorted(active, key=lambda v: (len(base.neighbors[v] & active), v))
-        result = any(_contractible(base, active - {x}, budget) for x in order)
+    result = _bad_link(base, active, d, budget) is None and _peels(base, active, budget)
     budget.memo[active, d] = result
     return result
 
 
+def _bad_link(base, active, d, budget) -> Optional[int]:
+    """The least vertex whose unit sphere is not a (d-1)-sphere, or None."""
+    for x in sorted(active):
+        if not _sphere(base, base.neighbors[x] & active, d - 1, budget):
+            return x
+    return None
+
+
+def _peels(base, active, budget) -> bool:
+    """Whether some G-x is contractible, for G and every S(x) connected (then
+    every G-x is connected)."""
+    order = sorted(active, key=lambda v: (len(base.neighbors[v] & active), v))
+    return any(_contractible(base, active - {x}, budget) for x in order)
+
+
 def is_sphere(g: SimplicialGraph, d: int, budget: Optional[int] = None) -> VerificationReport:
     def decide(search):
-        chi = euler_characteristic(g)
-        if chi == 1 + (-1) ** d and _sphere(g, frozenset(range(g.n)), d, search):
+        witness = _sphere_defect(g, d, search)
+        if witness is None:
             return VerificationReport("yes", dimension=d)
-        return VerificationReport("no", witness=_sphere_witness(g, d, chi, search))
+        return VerificationReport("no", witness=witness)
     return _verify(decide, budget)
 
 
-def _sphere_witness(g, d, chi, budget):
+def _sphere_defect(g, d, search):
+    """Why g is not a d-sphere, or None when it is one.
+
+    The checks of _sphere on the whole graph, cheapest first, so the search
+    that decides also names the witness: the first vertex whose unit sphere
+    is not a (d-1)-sphere, or the check that failed."""
+    active = frozenset(range(g.n))
     if d == -1:
-        return "graph is nonempty"
+        return "graph is nonempty" if g.n else None
     if g.n == 0:
         return "graph is empty"
-    if d >= 1 and not _connected(g, frozenset(range(g.n))):
+    if d >= 1 and not _connected(g, active):
         return "graph is disconnected"
-    try:
-        for x in range(g.n):
-            if not _sphere(g, g.neighbors[x], d - 1, budget):
-                return x
-    except _Exhausted:
-        pass
-    sphere_chi = 1 + (-1) ** d
+    chi, sphere_chi = euler_characteristic(g), 1 + (-1) ** d
     if chi != sphere_chi:
         return f"Euler characteristic {chi}, a {d}-sphere has {sphere_chi}"
-    return "no vertex deletion leaves a contractible graph"
+    if d >= 2:  # one expansion, as _sphere spends; d = 2 then needs only the links
+        search.spend()
+    x = _bad_link(g, active, d, search)
+    if x is not None:
+        return x
+    if d >= 3 and not _peels(g, active, search):
+        return "no vertex deletion leaves a contractible graph"
+    return None
 
 
 # -- d-graphs ------------------------------------------------------------------
@@ -261,9 +276,9 @@ def is_dgraph(g: SimplicialGraph, d: int, budget: Optional[int] = None) -> Verif
     def decide(search):
         if d < 0 and g.n:
             return VerificationReport("no", witness="graph is nonempty")
-        for x in range(g.n):
-            if not _sphere(g, g.neighbors[x], d - 1, search):
-                return VerificationReport("no", witness=x)
+        x = _bad_link(g, frozenset(range(g.n)), d, search)
+        if x is not None:
+            return VerificationReport("no", witness=x)
         return VerificationReport("yes", dimension=d)
     return _verify(decide, budget)
 

@@ -159,6 +159,51 @@ def test_foreign_flag_exits_4(capsys, argv):
     assert rep["error"]["message"].startswith("unrecognized arguments:")
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (("--domain", "-2,2;-2,2", "--step", "1/2"), "--poly"),
+    (("--poly", "x^2+y^2-2", "--step", "1/2"), "--domain"),
+    (("--poly", "x^2+y^2-2", "--domain", "-2,2;-2,2"), "--step"),
+])
+def test_variety_missing_flag_is_usage_error(capsys, argv, missing):
+    code, rep = run(capsys, "variety", *argv)
+    assert code == 4 and rep["command"] == "variety"
+    assert rep["error"] == {"type": "UsageError",
+                            "message": f"the following arguments are required: {missing}"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simultaneous", *OCTAHEDRON), "at least one constraint required"),
+    (("simultaneous", *OCTAHEDRON, "--function", "1,2,3,4,5,6"), "need one level per function"),
+    (("sard", *OCTAHEDRON), "at least one function required"),
+    (("sard", *OCTAHEDRON, "--function", "1,2,3,4,5,6", "--level", "1/2", "--level", "1/2"),
+     "1 functions but 2 levels"),
+    (("lagrange", *OCTAHEDRON), "at least one function required"),
+    (("lagrange", *OCTAHEDRON, "--function", "1,2,3,4,5,6", "--function", "6,1,5,2,4,3",
+      "--level", "1/2"), "need one level per function"),
+    (("levelset", *OCTAHEDRON, "--function", "1,2,3,4,5,6"),
+     "levelset needs exactly one --function and one --level"),
+    (("export", *OCTAHEDRON, "--level", "1/2", "--out", "x.off"),
+     "export needs exactly one --function and one --level"),
+])
+def test_count_errors_carry_the_library_message(capsys, argv, message):
+    code, rep = run(capsys, *argv)
+    assert code == 4
+    assert rep["error"] == {"type": "InputError", "message": message}
+
+
+def test_lagrange_over_subset_cap_keeps_the_report(capsys):
+    # ten functions put 30 values on each triangle, over the per-simplex cap of 20
+    functions = [w for i in range(10)
+                 for w in ("--function", ",".join(str(6 * i + v + 1) for v in range(6)))]
+    code, rep = run(capsys, "lagrange", *OCTAHEDRON, *functions)
+    assert code == 0
+    assert rep["max_rank"]["ok"] is True
+    assert rep["injectivity"] == {
+        "global": True, "per_simplex": None,
+        "per_simplex_error": "per-simplex subset check limited to 20 values, "
+                             "a top simplex has 30"}
+
+
 def test_spectrum_octahedron(capsys):
     code, rep = run(capsys, "spectrum", *OCTAHEDRON)
     assert code == 0

@@ -12,6 +12,7 @@ Validates:
       before any enumeration
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -169,6 +170,48 @@ def test_injectivity_random_rationals(rng):
     h = [Fraction(rng.getrandbits(48) + 1, rng.getrandbits(16) + 1) for _ in range(6)]
     assert strong_injectivity_check(g, [f, h]).passed
     assert strong_injectivity_check(g, [f, h], scope="per_simplex").passed
+
+
+def _subset_sum_failures(g, fs):
+    """The per-simplex failures by definition: every subset sum from scratch."""
+    failures = []
+    for group in g.simplices():
+        for s in group:
+            values = [Fraction(f[v]) for f in fs for v in s]
+            denom = math.lcm(*(x.denominator for x in values))
+            ints = [int(x * denom) for x in values]
+            first = {}
+            for mask in range(1 << len(ints)):
+                total = sum(x for i, x in enumerate(ints) if mask >> i & 1)
+                if total in first:
+                    failures.append((s, first[total], mask))
+                    break
+                first[total] = mask
+    return tuple(failures)
+
+
+@pytest.mark.parametrize("family", ["wide", "narrow", "signed"])
+def test_injectivity_per_simplex_matches_definition(family):
+    rng = random.Random(f"subset-sums/{family}")
+    for g in (octahedron(), icosahedron(), sixteen_cell()):
+        for k in (1, 2, 3):
+            if (g.dimension() + 1) * k > 12:
+                continue
+            if family == "wide":  # passes: sums of wide random rationals do not meet
+                fs = [[Fraction(rng.getrandbits(40) + 1, rng.getrandbits(12) + 1)
+                       for _ in range(g.n)] for _ in range(k)]
+            elif family == "narrow":  # fails on most simplices
+                fs = [[rng.randint(1, 12) for _ in range(g.n)] for _ in range(k)]
+            else:  # zeros, negatives and halves
+                fs = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2)))
+                       for _ in range(g.n)] for _ in range(k)]
+            r = strong_injectivity_check(g, fs, scope="per_simplex")
+            want = _subset_sum_failures(g, fs)
+            assert r.failures == want and r.passed == (not want)
+            if family == "wide":
+                assert r.passed
+            if family == "narrow" and k > 1:
+                assert not r.passed
 
 
 def test_injectivity_per_simplex_cap_checked_before_enumerating():

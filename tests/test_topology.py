@@ -300,6 +300,17 @@ def test_two_sphere_rule_rejects_each_near_miss():
         assert (r.verdict, r.witness) == ("no", witness), (check.__name__, g.n, d)
 
 
+def test_sphere_witness_is_the_vertex_the_decision_found():
+    # the decision stops at vertex 0, whose unit sphere (two 4-cycles joined
+    # by two apexes) fails the 2-sphere rule: one expansion for the graph,
+    # one for that unit sphere, and no second pass to name the witness
+    g = suspension(banana())
+    assert is_sphere(g, 3, budget=2) == is_sphere(g, 3)
+    r = is_sphere(g, 3)
+    assert (r.verdict, r.witness, r.expansions) == ("no", 0, 2)
+    assert is_sphere(g, 3, budget=1).verdict == "resource_limit"
+
+
 def test_one_expansion_per_two_sphere():
     assert is_sphere(icosahedron(), 2).expansions == 1
     assert is_dgraph(sixteen_cell(), 3).expansions == 8
