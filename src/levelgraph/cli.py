@@ -319,14 +319,16 @@ def _cmd_ground_state(args, doc) -> tuple[dict, int]:
 def _cmd_export(args, doc) -> tuple[dict, int]:
     if not args.out:
         raise InputError("export needs --out FILE")
-    target = doc.graph
+    target, values = doc.graph, doc.values
     out = {}
     if args.function or args.level:
         f, c = _one_cut(args, doc)
         target = level_surface(doc.graph, f, c)
         out["surface"] = _surface_block(target.graph)
+        # the document's functions, extended to the surface as refine --out does
+        values = {name: extend_function(vals, target) for name, vals in doc.values.items()}
     fmt = args.format or "obj"
-    _export(target, args, out, fmt)
+    _export(target, args, out, fmt, values)
     out["format"] = fmt
     return out, EXIT_OK
 

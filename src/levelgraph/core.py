@@ -61,9 +61,6 @@ class SimplicialGraph:
 
     # -- basic accessors -------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
@@ -92,7 +89,7 @@ class SimplicialGraph:
                 if u > v and u in index:
                     edges.append((index[v], index[u]))
         labels = tuple(self.label_of(v) for v in sel)
-        coords = tuple(self.coordinates[v] for v in sel) if self.coordinates else None
+        coords = tuple(self.coordinates[v] for v in sel) if self.coordinates is not None else None
         return SimplicialGraph(len(sel), edges, labels=labels, coordinates=coords)
 
     def unit_sphere(self, x: int) -> "SimplicialGraph":

@@ -158,7 +158,7 @@ def surface_triangles(s, budget: Optional[int] = None) -> SurfaceTriangles:
                     else:
                         have = oriented[j]
                         cyc = {have, (have[1], have[2], have[0]), (have[2], have[0], have[1])}
-                        if want not in cyc and (want[1], want[2], want[0]) not in cyc \
-                                and (want[2], want[0], want[1]) not in cyc:
+                        # cyc is closed under rotation, so this covers every rotation of want
+                        if want not in cyc:
                             orientable = False
     return SurfaceTriangles(tuple(oriented[i] for i in range(len(tris))), orientable)

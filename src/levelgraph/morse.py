@@ -39,52 +39,57 @@ class CurvatureVector:
     total: Fraction
 
 
-def _check_locally_injective(g, values):
-    for u, v in g.edges():
-        if values[u] == values[v]:
-            raise NotLocallyInjective((u, v), values[u])
-
-
-def _half_sphere(g, values, x, below: bool = True):
-    """S^-(x), or S^+(x) when below is false: the unit sphere of x below (above) f(x)."""
+def _split(g, values, x):
+    """S(x) and the positions in it of the neighbours below f(x); raises at the
+    first neighbour, in ascending order, where f ties with f(x)."""
     fx = values[x]
-    return g.induced([v for v in sorted(g.neighbors[x]) if (values[v] < fx) == below])
+    nbrs = sorted(g.neighbors[x])
+    below = []
+    for i, y in enumerate(nbrs):
+        if values[y] == fx:
+            raise NotLocallyInjective((min(x, y), max(x, y)), fx)
+        if values[y] < fx:
+            below.append(i)
+    return g.induced(nbrs), below
 
 
 def ph_index(g: SimplicialGraph, f: Sequence, x: int,
              budget: Optional[int] = None) -> IndexReport:
-    """Index, symmetric index and second-derivative-test classification at x."""
-    values = as_fraction_vector(f, g.n)
-    _check_locally_injective(g, values)
-    lower, upper = _half_sphere(g, values, x), _half_sphere(g, values, x, below=False)
+    """Index, symmetric index and second-derivative-test classification at x.
+
+    f must differ from f(x) on every neighbour of x; ties elsewhere, even
+    between two neighbours of x, are allowed.
+    """
+    sphere, below = _split(g, as_fraction_vector(f, g.n), x)
+    lower = sphere.induced(below)
     index = 1 - euler_characteristic(lower)
-    index_neg = 1 - euler_characteristic(upper)
-    symmetric = Fraction(index + index_neg, 2)
+    symmetric = _symmetric_value(sphere, {frozenset(below): 1 - index}, below)
     d = g.dimension()
-    sphere_report = is_sphere(lower, d - 1, budget=budget)
-    if sphere_report.ok:
+    if is_sphere(lower, d - 1, budget=budget).ok:
         kind = "local_max"
     elif lower.n == 0:
         kind = "local_min"
     elif d == 2 and index < 0:
         kind = "saddle"
+    elif is_contractible(lower, budget=budget).ok:
+        kind = "regular"
     else:
-        contract = is_contractible(lower, budget=budget)
-        if contract.ok:
-            kind = "regular"
-        else:
-            # genuinely non-contractible sublevel or a budget limit: do not guess
-            kind = "unclassified"
+        # genuinely non-contractible sublevel or a budget limit: do not guess
+        kind = "unclassified"
     return IndexReport(x, lower, index, symmetric, kind)
 
 
 def ph_sum_check(g: SimplicialGraph, f: Sequence) -> tuple[int, int]:
-    """(sum of indices over all vertices, Euler characteristic)."""
+    """(sum of indices over all vertices, Euler characteristic).
+
+    f must be locally injective on all of g; a tie raises at the
+    lexicographically first tied edge.
+    """
     values = as_fraction_vector(f, g.n)
-    _check_locally_injective(g, values)
     total = 0
     for x in range(g.n):
-        total += 1 - euler_characteristic(_half_sphere(g, values, x))
+        sphere, below = _split(g, values, x)
+        total += 1 - euler_characteristic(sphere.induced(below))
     return total, euler_characteristic(g)
 
 
@@ -106,13 +111,8 @@ def central_surface(g: SimplicialGraph, f: Sequence, x: int) -> LevelSurfaceGrap
     the symmetric index.
     """
     values = as_fraction_vector(f, g.n)
-    fx = values[x]
-    for y in sorted(g.neighbors[x]):
-        if values[y] == fx:
-            raise NotLocallyInjective((min(x, y), max(x, y)), fx)
-    sel = sorted(g.neighbors[x])
-    sphere = g.induced(sel)
-    return level_surface(sphere, [values[v] for v in sel], fx)
+    sphere, _ = _split(g, values, x)
+    return level_surface(sphere, [values[v] for v in sorted(g.neighbors[x])], values[x])
 
 
 def _symmetric_value(sphere, chi_cache, subset):

@@ -15,12 +15,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import SimplicialGraph
-from .errors import ConvergenceFailure, InputError, ZeroOnVertex
+from .errors import ConvergenceFailure, InputError, LevelGraphError, ZeroOnVertex
 from .levelset import LevelSurfaceGraph, level_surface
 from .sard import SardTrace, sard_pipeline
 from .topology import VerificationReport, components, is_sphere
@@ -250,8 +250,9 @@ def ground_state_surface(g: SimplicialGraph, *, seed: int = 0,
 
     Perturbation is always enabled here: symmetric graphs routinely zero
     out ground-state entries.  In dimension 3 the double nodal surface
-    {v2=0, v3=0} is attempted as well; its pipeline errors are reported as
-    text rather than raised, since the construction is experimental.
+    {v2=0, v3=0} is attempted as well; its library errors (LevelGraphError)
+    are reported as text rather than raised, since the construction is
+    experimental.  Any other exception is a bug and propagates.
     """
     if spectrum is None:
         spectrum = spectrum_of(g)
@@ -266,7 +267,7 @@ def ground_state_surface(g: SimplicialGraph, *, seed: int = 0,
                                    budget=budget, perturb=True)
             double_comp = len(components(double.final))
             double_verdict = double.stages[-1].verdict
-        except Exception as e:  # experimental harness: report, do not raise
+        except LevelGraphError as e:  # experimental harness: report, do not raise
             double_error = f"{type(e).__name__}: {e}"
     return GroundState(nodal, spectrum.eigenvalues[1], sphere,
                        double, double_comp, double_verdict, double_error)

@@ -10,96 +10,75 @@ stays exact while following the generic-level argument.
 from __future__ import annotations
 
 import ast
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .catalog import kuhn_grid
 from .errors import InputError, UnparsablePolynomial
 from .rational import as_fraction
 from .sard import SardTrace, sard_pipeline
 
-_ALIASES = ("x", "y", "z", "w")
-
-
-def _variable_map(nvars: int) -> dict[str, int]:
-    names = {f"x{i + 1}": i for i in range(nvars)}
-    for i, alias in enumerate(_ALIASES[:nvars]):
-        names[alias] = i
-    return names
+# the binary operators allowed between arbitrary subexpressions
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
 
 @dataclass(frozen=True)
 class Polynomial:
+    """A parsed polynomial; evaluate runs the function compiled at parse time."""
+
     text: str
     nvars: int
-    _tree: ast.expr
+    _fn: Callable[[tuple[Fraction, ...]], Fraction]
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.nvars:
             raise InputError(f"expected {self.nvars} coordinates, got {len(point)}")
-        names = _variable_map(self.nvars)
-
-        def ev(node):
-            if isinstance(node, ast.Constant):
-                return Fraction(node.value)
-            if isinstance(node, ast.Name):
-                return as_fraction(point[names[node.id]])
-            if isinstance(node, ast.UnaryOp):
-                v = ev(node.operand)
-                return -v if isinstance(node.op, ast.USub) else v
-            left = ev(node.left)
-            if isinstance(node.op, ast.Add):
-                return left + ev(node.right)
-            if isinstance(node.op, ast.Sub):
-                return left - ev(node.right)
-            if isinstance(node.op, ast.Mult):
-                return left * ev(node.right)
-            if isinstance(node.op, ast.Div):
-                return left / ev(node.right)
-            return left ** node.right.value  # Pow, validated at parse time
-
-        return ev(self._tree)
+        return self._fn(tuple(as_fraction(c) for c in point))
 
 
-def _validate(node: ast.expr, names: dict[str, int], text: str) -> None:
+def _compile(node: ast.expr, names: dict[str, int], text: str):
+    """Check node against the grammar and return it as a function of a point."""
     def fail(reason: str):
         raise UnparsablePolynomial(f"{text!r}: {reason}")
 
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, int) or isinstance(node.value, bool):
             fail(f"literal {node.value!r} is not an integer")
-        return
+        value = Fraction(node.value)
+        return lambda p: value
     if isinstance(node, ast.Name):
         if node.id not in names:
             fail(f"unknown variable {node.id!r}")
-        return
+        return operator.itemgetter(names[node.id])
     if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.UAdd, ast.USub)):
             fail("only unary plus and minus are allowed")
-        _validate(node.operand, names, text)
-        return
+        operand = _compile(node.operand, names, text)
+        return operand if isinstance(node.op, ast.UAdd) else lambda p: -operand(p)
     if not isinstance(node, ast.BinOp):
         fail(f"unsupported syntax {type(node).__name__}")
-    if isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
-        _validate(node.left, names, text)
-        _validate(node.right, names, text)
-        return
+    op = _BINARY.get(type(node.op))
+    if op is not None:
+        left, right = _compile(node.left, names, text), _compile(node.right, names, text)
+        return lambda p: op(left(p), right(p))
     if isinstance(node.op, ast.Div):
-        # division appears only in rational literals p/q
+        # division appears only in rational literals p/q, folded to a constant
         if not (isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant)):
             fail("division is allowed only between integer literals")
-        _validate(node.left, names, text)
-        _validate(node.right, names, text)
+        _compile(node.left, names, text)
+        _compile(node.right, names, text)
         if node.right.value == 0:
             fail("division by zero")
-        return
+        value = Fraction(node.left.value, node.right.value)
+        return lambda p: value
     if isinstance(node.op, ast.Pow):
-        _validate(node.left, names, text)
-        if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int)
-                and not isinstance(node.right.value, bool) and node.right.value >= 0):
+        base = _compile(node.left, names, text)
+        exponent = node.right.value if isinstance(node.right, ast.Constant) else None
+        if not (isinstance(exponent, int) and not isinstance(exponent, bool) and exponent >= 0):
             fail("exponents must be nonnegative integer literals")
-        return
+        return lambda p: base(p) ** exponent
     fail(f"operator {type(node.op).__name__} is not allowed")
 
 
@@ -107,6 +86,7 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse +, -, *, ^ (nonnegative integer powers) over rational literals.
 
     Variables are x1..xn with x, y, z, w as aliases for the first four.
+    The expression is checked and compiled once, here.
     """
     if nvars < 1:
         raise InputError("need at least one variable")
@@ -115,8 +95,9 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         tree = ast.parse(source, mode="eval").body
     except SyntaxError as e:
         raise UnparsablePolynomial(f"{text!r}: {e.msg}") from None
-    _validate(tree, _variable_map(nvars), text)
-    return Polynomial(text, nvars, tree)
+    names = {f"x{i + 1}": i for i in range(nvars)}
+    names.update(zip("xyzw", range(nvars)))
+    return Polynomial(text, nvars, _compile(tree, names, text))
 
 
 def triangulate_variety(polys: Sequence[Union[str, Polynomial]],

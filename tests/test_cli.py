@@ -8,11 +8,16 @@ stock exit 2 to avoid colliding with the verdict code).
 import contextlib
 import io
 import json
+import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from levelgraph import graphdoc
 from levelgraph.cli import _COMMANDS, _OPTIONS, main
+from levelgraph.levelset import level_surface
+from levelgraph.refine import extend_function
 
 CAP_F = "5,-1,-2,-3,-4,-6,-7,-8"
 CAP_H = "-11,9,-12,-13,-14,-15,-16,-17"
@@ -340,6 +345,25 @@ def test_levelset_json_export(capsys, tmp_path):
     with open(out) as fh:
         doc = json.load(fh)
     assert len(doc["vertices"]) == 12  # labeled by originating simplex
+
+
+def test_json_export_keeps_document_functions(capsys, tmp_path):
+    doc_path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "data", "cli_golden_doc.json")
+    doc = graphdoc.load(doc_path)
+    whole, cut = str(tmp_path / "whole.json"), str(tmp_path / "cut.json")
+    code, _ = run(capsys, "export", "--graph", doc_path, "--format", "json", "--out", whole)
+    assert code == 0
+    assert graphdoc.load(whole).values == doc.values
+    code, _ = run(capsys, "export", "--graph", doc_path, "--function", "f", "--level", "1/3",
+                  "--format", "json", "--out", cut)
+    assert code == 0
+    surface = level_surface(doc.graph, doc.values["f"], Fraction(1, 3))
+    written = graphdoc.load(cut)
+    assert written.graph.n == surface.graph.n > 0
+    assert set(written.values) == {"f", "g"}
+    for name, vals in doc.values.items():
+        assert tuple(written.values[name]) == extend_function(vals, surface)
 
 
 def test_ground_state_16_cell(capsys):

@@ -19,6 +19,8 @@ from levelgraph.levelset import (interpolate_coordinates, level_surface,
                                  simultaneous_locus, surface_triangles)
 from levelgraph.topology import components, is_dgraph, is_sphere
 
+from test_topology import flag_rp2
+
 
 def test_octahedron_circle():
     g = octahedron()
@@ -170,3 +172,9 @@ def test_interpolation_needs_coordinates():
     assert s.graph.coordinates is None
     with pytest.raises(MissingCoordinates):
         interpolate_coordinates(g, s.origin, s.functions, s.levels)
+
+
+def test_projective_plane_is_not_orientable():
+    tri = surface_triangles(flag_rp2())
+    assert len(tri.triangles) == 60
+    assert tri.orientable is False

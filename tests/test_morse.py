@@ -57,6 +57,55 @@ def test_rejects_ties():
         ph_index(g, [1, 1, 2, 3, 4, 5], 0)
 
 
+def test_rejects_tie_at_x_naming_first_neighbour():
+    g = icosahedron()
+    f = list(range(g.n))
+    a, b = sorted(g.neighbors[0])[1:3]
+    f[a] = f[b] = f[0]
+    with pytest.raises(NotLocallyInjective) as e:
+        ph_index(g, f, 0)
+    assert e.value.edge == (0, a)
+
+
+def _report(r):
+    s = r.sublevel
+    return (r.vertex, r.index, r.symmetric, r.classification,
+            s.n, s.edges(), s.labels, s.coordinates)
+
+
+def test_ties_between_neighbours_are_allowed(rng):
+    # ph_index reads only the side of f(x) each neighbour is on, so a tie
+    # between two neighbours on the same side changes nothing
+    for g in (octahedron(), icosahedron(), sixteen_cell(), kuhn_grid(2, (3, 3))):
+        for x in range(g.n):
+            f = random_injective(rng, g.n)
+            nbrs = sorted(g.neighbors[x])
+            for side in (True, False):
+                group = [y for y in nbrs if (f[y] < f[x]) == side]
+                if len(group) < 2:
+                    continue
+                a, b = rng.sample(group, 2)
+                tied, broken = list(f), list(f)
+                tied[b] = broken[b] = f[a]
+                # nudge the tie apart without crossing f(x)
+                broken[b] += (f[x] - f[a]) / 2
+                assert _report(ph_index(g, tied, x)) == _report(ph_index(g, broken, x))
+
+
+def test_sum_check_names_first_tied_edge(rng):
+    for g in (octahedron(), icosahedron(), sixteen_cell(), kuhn_grid(2, (3, 3))):
+        edges = g.edges()
+        for _ in range(10):
+            f = random_injective(rng, g.n)
+            tied = rng.sample(edges, 2)
+            for u, v in tied:
+                f[v] = f[u]
+            first = next(e for e in edges if f[e[0]] == f[e[1]])
+            with pytest.raises(NotLocallyInjective) as e:
+                ph_sum_check(g, f)
+            assert e.value.edge == first
+
+
 def test_index_sum_random(rng):
     for g in (octahedron(), icosahedron(), sixteen_cell(), wheel(7)):
         for _ in range(5):

@@ -183,6 +183,16 @@ def test_non_symmetric_rejected():
         eigendecompose([[0, 1], [2, 0]])
 
 
+def test_ground_state_propagates_programming_errors(monkeypatch):
+    # only library errors become double_error text; a bug must surface
+    def broken(*args, **kwargs):
+        raise TypeError("broken pipeline")
+
+    monkeypatch.setattr(spectral, "sard_pipeline", broken)
+    with pytest.raises(TypeError, match="broken pipeline"):
+        ground_state_surface(cross_polytope(3), seed=0)
+
+
 def test_ground_state_16_cell():
     gs = ground_state_surface(cross_polytope(3), seed=0)
     assert abs(gs.gap - 6) < TOL

@@ -8,6 +8,9 @@ Validates:
     - domain validation and step divisibility
 """
 
+import ast
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,19 +41,94 @@ def test_exact_fractions_no_floats():
     assert v == Fraction(1, 9) - Fraction(1, 3)
 
 
-@pytest.mark.parametrize("bad", [
-    "x/y",            # division by a variable
-    "x^-1",           # negative exponent
-    "x^(1/2)",        # fractional exponent
-    "sin(x)",         # function calls
-    "x3",             # unknown variable for nvars=2
-    "1/0",            # zero denominator
-    "x y",            # missing operator
-    "",               # empty
-])
+# rejected input -> the reason in the message; None marks a syntax error,
+# whose reason is the Python parser's own message
+REJECTIONS = {
+    "x/y": "division is allowed only between integer literals",
+    "x^-1": "exponents must be nonnegative integer literals",
+    "x^(1/2)": "exponents must be nonnegative integer literals",
+    "sin(x)": "unsupported syntax Call",            # function calls
+    "x3": "unknown variable 'x3'",                  # nvars=2
+    "1/0": "division by zero",
+    "x y": None,                                    # missing operator
+    "": None,                                       # empty
+    "x^2/3": "division is allowed only between integer literals",
+    "1.5*x": "literal 1.5 is not an integer",
+}
+
+
+@pytest.mark.parametrize("bad", list(REJECTIONS))
 def test_parser_rejections(bad):
-    with pytest.raises(UnparsablePolynomial):
+    reason = REJECTIONS[bad]
+    if reason is None:
+        with pytest.raises(SyntaxError) as e:
+            ast.parse(bad, mode="eval")
+        reason = e.value.msg
+    with pytest.raises(UnparsablePolynomial) as e:
         parse_polynomial(bad, 2)
+    assert type(e.value) is UnparsablePolynomial
+    assert str(e.value) == f"{bad!r}: {reason}"
+
+
+def _random_expression(rng, depth, nvars):
+    """(text, direct evaluator) for a random polynomial over every operator."""
+    kind = rng.choice(["var", "int", "ratio"] if depth == 0 else
+                      ["var", "int", "ratio", "+", "-", "*", "neg", "pos", "pow"])
+    if kind == "var":
+        i = rng.randrange(nvars)
+        name = rng.choice([f"x{i + 1}", "xyzw"[i]] if i < 4 else [f"x{i + 1}"])
+        return name, lambda p: p[i]
+    if kind == "int":
+        k = rng.randint(0, 9)
+        return str(k), lambda p: Fraction(k)
+    if kind == "ratio":
+        a, b = rng.randint(0, 9), rng.randint(1, 9)
+        return f"({a}/{b})", lambda p: Fraction(a, b)
+    if kind in ("neg", "pos"):
+        text, fn = _random_expression(rng, depth - 1, nvars)
+        if kind == "neg":
+            return f"-({text})", lambda p: -fn(p)
+        return f"+({text})", fn
+    if kind == "pow":
+        text, fn = _random_expression(rng, depth - 1, nvars)
+        k = rng.randint(0, 3)
+        return f"({text})^{k}", lambda p: fn(p) ** k
+    (lt, lf), (rt, rf) = (_random_expression(rng, depth - 1, nvars) for _ in range(2))
+    op = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}[kind]
+    return f"({lt}){kind}({rt})", lambda p: op(lf(p), rf(p))
+
+
+def test_compiled_evaluation_matches_fraction_arithmetic():
+    rng = random.Random(20150)
+    seen = set()
+    for _ in range(300):
+        nvars = rng.randint(1, 6)
+        text, direct = _random_expression(rng, rng.randint(1, 4), nvars)
+        # '#' stands for an x1..xn name, a bare x for the alias
+        marked = re.sub(r"x\d+", "#", text)
+        seen.update(c for c in "+-*^/xyzw#" if c in marked)
+        seen.update(["^0"] if "^0" in text else [])
+        p = parse_polynomial(text, nvars)
+        for _ in range(5):
+            point = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(nvars)]
+            assert p.evaluate(point) == direct(point), text
+    assert seen == set("+-*^/xyzw#") | {"^0"}
+
+
+@pytest.mark.parametrize("text, point, value", [
+    ("-x^2", [3], -9),                  # ^ binds tighter than unary minus
+    ("x - y - z", [1, 2, 3], -4),       # left associative
+    ("2*x^0 + y^1", [5, 7], 9),
+    ("1/2*x - 3/4", [4], Fraction(5, 4)),
+    ("+x*-y", [2, 3], -6),
+])
+def test_precedence(text, point, value):
+    assert parse_polynomial(text, len(point)).evaluate(point) == value
+
+
+def test_evaluate_checks_point_length():
+    with pytest.raises(InputError):
+        parse_polynomial("x + y", 2).evaluate([Fraction(1)])
 
 
 def test_circle_is_single_cycle():
