@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .core import SimplicialGraph
 from .errors import InputError
+from .rational import as_fraction
 
 FORMAT_VERSION = 1
 
@@ -21,7 +22,6 @@ FORMAT_VERSION = 1
 class GraphDocument:
     graph: SimplicialGraph
     values: dict[str, list[Fraction]] = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
 
 def _fail(where: str, why: str):
@@ -29,16 +29,10 @@ def _fail(where: str, why: str):
 
 
 def _parse_rational(entry, where: str) -> Fraction:
-    if isinstance(entry, bool):
-        _fail(where, f"expected a number or 'p/q' string, got {entry!r}")
-    if isinstance(entry, (int, str)):
-        try:
-            return Fraction(entry)
-        except (ValueError, ZeroDivisionError):
-            _fail(where, f"cannot parse rational {entry!r}")
-    if isinstance(entry, float):
-        return Fraction(entry)
-    _fail(where, f"expected a number or 'p/q' string, got {type(entry).__name__}")
+    try:
+        return as_fraction(entry)
+    except InputError as e:
+        _fail(where, str(e))
 
 
 def _parse_point(entry, where: str) -> tuple[float, ...]:
@@ -55,6 +49,8 @@ def loads(text: str) -> GraphDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # over the int-digit or nesting limit
+        raise InputError(f"cannot decode document: {e}") from None
     if not isinstance(raw, dict):
         _fail("document", "top level must be an object")
     version = raw.get("format_version", FORMAT_VERSION)
@@ -121,7 +117,7 @@ def loads(text: str) -> GraphDocument:
 
 def dumps(doc: GraphDocument) -> str:
     g = doc.graph
-    raw: dict = {"format_version": doc.format_version}
+    raw: dict = {"format_version": FORMAT_VERSION}
     if g.labels is not None:
         raw["vertices"] = [list(l) if isinstance(l, tuple) else l for l in g.labels]
     else:

@@ -7,6 +7,7 @@ the conversion itself never introduces rounding.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -21,6 +22,8 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise InputError(f"{x!r} is not a rational value")
         return Fraction(x)  # exact binary expansion
     if isinstance(x, str):
         try:

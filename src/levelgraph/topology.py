@@ -1,37 +1,38 @@
 """Recursive recognition of contractible graphs, spheres and d-graphs.
 
-The definitions are mutually recursive.  A graph is contractible when some
-vertex x has a contractible unit sphere S(x) and a contractible complement
-G-x, with the one-point graph as base case.  A d-sphere is a graph whose
-unit spheres are all (d-1)-spheres and which loses contractibility .. gains
-it .. after deleting a single vertex; the empty graph is the (-1)-sphere.
+A graph is contractible when some vertex x has a contractible unit sphere
+S(x) and a contractible complement G-x; the one-point graph is the base
+case.  A d-sphere is a graph whose unit spheres are all (d-1)-spheres and
+which has some x with G-x contractible; the empty graph is the (-1)-sphere.
 A d-graph only requires every unit sphere to be a (d-1)-sphere.
 
-Each public call runs one search with its own state: the expansion budget
-and a memo of definitive verdicts.  Every subgraph a search visits is
-induced from the graph it was called on, so its vertex set identifies it:
-contractibility verdicts are keyed by the vertex set, sphere verdicts by
-the vertex set and the dimension.  The memo is dropped when the call
-returns, so a verdict depends only on the graph, the dimension and the
-budget, and nothing is kept between calls.  When the budget runs out the
-caller receives the verdict "resource_limit" instead of a guess.
+Each public call runs one search that owns an expansion budget and a memo
+of verdicts keyed by vertex set (and dimension, for spheres): every
+subgraph it visits is induced from the input, and the memo is dropped when
+the call returns, so a verdict depends only on the graph, the dimension
+and the budget.  An exhausted budget gives "resource_limit", not a guess.
 
-Theorem-backed shortcuts prune the search without changing its answer:
+A "no" names the first check that fails, cheapest first:
 
-- Graphs with a dominating vertex (cones) are contractible.
-- Contractible graphs and spheres of dimension >= 1 are connected.  The
-  contractibility search expects connected input and checks each S(x) it
-  recurses into; G-x needs no check, since a contractible S(x) is nonempty
-  and connected.
-- The public entry points reject on the Euler characteristic.  Deleting x
-  splits the clique complex into that of G-x and the cone over S(x), so
-  chi(G) = chi(G-x) + 1 - chi(S(x)); by induction a contractible graph has
-  chi = 1 and a d-sphere has chi = 1 + (-1)^d.
-- 2-spheres are decided without a search, for one expansion: a connected
-  graph whose unit spheres are all circles (cycles of length >= 4) is a
-  closed surface, and by the classification of closed surfaces it is a
-  2-sphere iff chi = 2.  Each edge then lies in exactly two triangles, so
-  chi = V - E/3.  No memo entry is stored for it.
+1. "graph is empty" ("empty graph" for is_contractible), or "graph is
+   nonempty" for d < 0;
+2. "graph is disconnected": contractible graphs and spheres of dimension
+   >= 1 are connected;
+3. the Euler characteristic of the whole graph: deleting x gives
+   chi(G) = chi(G-x) + 1 - chi(S(x)), so a contractible graph has chi = 1
+   and a d-sphere chi = 1 + (-1)^d;
+4. the least vertex whose unit sphere is not a (d-1)-sphere (the only
+   check of is_dgraph);
+5. "no vertex deletion leaves a contractible graph" for a sphere, "no
+   vertex removal sequence reaches a point" for a contractible graph.
+
+Shortcuts that rest on theorems prune the search without changing it.
+Cones are contractible.  G-x needs no connectivity check once S(x) is
+contractible, hence nonempty and connected.  A 0-sphere is two
+non-adjacent points and a 1-sphere a cycle of length >= 4, decided without
+an expansion.  A connected graph whose unit spheres are all circles is a
+closed surface, and by their classification a 2-sphere iff chi = V - E/3
+= 2: one expansion and no memo entry.
 """
 
 from __future__ import annotations
@@ -78,6 +79,12 @@ class _Budget:
         self.used += 1
 
 
+def _report(witness, dimension: Optional[int]) -> VerificationReport:
+    if witness is None:
+        return VerificationReport("yes", dimension=dimension)
+    return VerificationReport("no", witness=witness)
+
+
 def _verify(decide, budget: Optional[int]) -> VerificationReport:
     """decide(search) on a fresh search; an exhausted budget gives "resource_limit"."""
     search = _Budget(DEFAULT_BUDGET if budget is None else budget)
@@ -98,17 +105,32 @@ def clear_caches():
 # -- subgraph views ---------------------------------------------------------
 
 
-def _connected(base, active) -> bool:
-    if not active:
-        return True
-    start = next(iter(active))
+def _reach(base, active, start) -> set:
+    """The vertices of the induced subgraph on active reachable from start."""
     seen = {start}
     stack = [start]
     while stack:
         new = (base.neighbors[stack.pop()] & active) - seen
         seen |= new
         stack.extend(new)
-    return len(seen) == len(active)
+    return seen
+
+
+def _connected(base, active) -> bool:
+    return not active or len(_reach(base, active, next(iter(active)))) == len(active)
+
+
+def components(g: SimplicialGraph) -> list[tuple[int, ...]]:
+    """Connected components as sorted vertex tuples, ordered by least vertex."""
+    everything = frozenset(range(g.n))
+    seen: set = set()
+    out = []
+    for v in range(g.n):
+        if v not in seen:
+            comp = _reach(g, everything, v)
+            seen |= comp
+            out.append(tuple(sorted(comp)))
+    return out
 
 
 def _circle(base, active) -> bool:
@@ -131,6 +153,12 @@ def _dominating(base, active) -> bool:
     return any(len(base.neighbors[v] & active) == size - 1 for v in active)
 
 
+def _order(base, active) -> list[int]:
+    """The vertices by degree in the induced subgraph, then by number: the
+    order in which a peel tries to delete them."""
+    return sorted(active, key=lambda v: (len(base.neighbors[v] & active), v))
+
+
 # -- contractibility ---------------------------------------------------------
 
 
@@ -148,8 +176,7 @@ def _contractible(base, active, budget) -> bool:
         return hit
     budget.spend()
     result = False
-    order = sorted(active, key=lambda v: (len(base.neighbors[v] & active), v))
-    for x in order:
+    for x in _order(base, active):
         sphere = base.neighbors[x] & active
         # a contractible S(x) is nonempty and connected, so G-x stays connected
         if (_connected(base, sphere) and _contractible(base, sphere, budget)
@@ -162,143 +189,92 @@ def _contractible(base, active, budget) -> bool:
 
 def is_contractible(g: SimplicialGraph, budget: Optional[int] = None) -> VerificationReport:
     def decide(search):
-        active = frozenset(range(g.n))
+        everything = frozenset(range(g.n))
         if g.n == 0:
-            return VerificationReport("no", witness="empty graph")
-        if not _connected(g, active):
-            return VerificationReport("no", witness="graph is disconnected")
-        chi = euler_characteristic(g)
-        if chi != 1:
-            return VerificationReport(
-                "no", witness=f"Euler characteristic {chi}, a contractible graph has 1")
-        if _contractible(g, active, search):
-            return VerificationReport("yes", dimension=g.dimension())
-        return VerificationReport("no", witness="no vertex removal sequence reaches a point")
+            witness = "empty graph"
+        elif not _connected(g, everything):
+            witness = "graph is disconnected"
+        elif (chi := euler_characteristic(g)) != 1:
+            witness = f"Euler characteristic {chi}, a contractible graph has 1"
+        elif not _contractible(g, everything, search):
+            witness = "no vertex removal sequence reaches a point"
+        else:
+            witness = None
+        return _report(witness, g.dimension() if witness is None else None)
     return _verify(decide, budget)
 
 
 # -- spheres ------------------------------------------------------------------
 
 
-def _sphere(base, active, d, budget) -> bool:
+def _sphere(base, active, d, budget):
+    """None when the induced subgraph on active is a d-sphere, else the
+    witness of the first check that fails (see the module docstring).  The
+    Euler characteristic is checked on the whole graph only."""
     n = len(active)
     if d == -1:
-        return n == 0
+        return "graph is nonempty" if n else None
     if n == 0:
-        return False
-    if d == 0:
-        if n != 2:
-            return False
-        a, b = sorted(active)
-        return b not in base.neighbors[a]
-    if d == 1:
-        return n >= 4 and _circle(base, active)
-    if not _connected(base, active):
-        return False
+        return "graph is empty"
+    # the d = 0 and d = 1 base rules; a witness is looked for only when they fail
+    if d == 0 and n == 2:
+        a, b = active
+        if b not in base.neighbors[a]:
+            return None
+    elif d == 1 and n >= 4 and _circle(base, active):
+        return None
+    if d >= 1 and not _connected(base, active):
+        return "graph is disconnected"
+    if n == base.n:
+        chi, sphere_chi = euler_characteristic(base), 1 + (-1) ** d
+        if chi != sphere_chi:
+            return f"Euler characteristic {chi}, a {d}-sphere has {sphere_chi}"
     if d == 2:  # a connected closed surface is a 2-sphere iff chi = 2
         budget.spend()
         twice_edges = 0
         for v in active:
             link = base.neighbors[v] & active
-            if not _sphere(base, link, 1, budget):
-                return False
+            if _sphere(base, link, 1, budget) is not None:
+                break
             twice_edges += len(link)
-        return n - twice_edges // 6 == 2
-    hit = budget.memo.get((active, d))
-    if hit is not None:
-        return hit
-    budget.spend()
-    result = _bad_link(base, active, d, budget) is None and _peels(base, active, budget)
-    budget.memo[active, d] = result
-    return result
+        else:
+            if n - twice_edges // 6 == 2:
+                return None
+    elif d >= 3:
+        if (active, d) in budget.memo:
+            return budget.memo[active, d]
+        budget.spend()
+    witness = _bad_link(base, active, d, budget)
+    if witness is None and (d < 3 or not any(
+            _contractible(base, active - {x}, budget) for x in _order(base, active))):
+        witness = "no vertex deletion leaves a contractible graph"
+    if d >= 3:
+        budget.memo[active, d] = witness
+    return witness
 
 
 def _bad_link(base, active, d, budget) -> Optional[int]:
     """The least vertex whose unit sphere is not a (d-1)-sphere, or None."""
     for x in sorted(active):
-        if not _sphere(base, base.neighbors[x] & active, d - 1, budget):
+        if _sphere(base, base.neighbors[x] & active, d - 1, budget) is not None:
             return x
     return None
 
 
-def _peels(base, active, budget) -> bool:
-    """Whether some G-x is contractible, for G and every S(x) connected (then
-    every G-x is connected)."""
-    order = sorted(active, key=lambda v: (len(base.neighbors[v] & active), v))
-    return any(_contractible(base, active - {x}, budget) for x in order)
-
-
 def is_sphere(g: SimplicialGraph, d: int, budget: Optional[int] = None) -> VerificationReport:
-    def decide(search):
-        witness = _sphere_defect(g, d, search)
-        if witness is None:
-            return VerificationReport("yes", dimension=d)
-        return VerificationReport("no", witness=witness)
-    return _verify(decide, budget)
-
-
-def _sphere_defect(g, d, search):
-    """Why g is not a d-sphere, or None when it is one.
-
-    The checks of _sphere on the whole graph, cheapest first, so the search
-    that decides also names the witness: the first vertex whose unit sphere
-    is not a (d-1)-sphere, or the check that failed."""
-    active = frozenset(range(g.n))
-    if d == -1:
-        return "graph is nonempty" if g.n else None
-    if g.n == 0:
-        return "graph is empty"
-    if d >= 1 and not _connected(g, active):
-        return "graph is disconnected"
-    chi, sphere_chi = euler_characteristic(g), 1 + (-1) ** d
-    if chi != sphere_chi:
-        return f"Euler characteristic {chi}, a {d}-sphere has {sphere_chi}"
-    if d >= 2:  # one expansion, as _sphere spends; d = 2 then needs only the links
-        search.spend()
-    x = _bad_link(g, active, d, search)
-    if x is not None:
-        return x
-    if d >= 3 and not _peels(g, active, search):
-        return "no vertex deletion leaves a contractible graph"
-    return None
+    return _verify(lambda search: _report(_sphere(g, frozenset(range(g.n)), d, search), d),
+                   budget)
 
 
 # -- d-graphs ------------------------------------------------------------------
 
 
 def is_dgraph(g: SimplicialGraph, d: int, budget: Optional[int] = None) -> VerificationReport:
-    """Check that every unit sphere is a (d-1)-sphere.
-
-    The empty graph passes vacuously for every d, which lets level set code
-    state "empty or a (d-1)-graph" as a single verdict.  For d = 0 and d = 1
-    the sphere base cases decide each unit sphere without an expansion.
-    """
+    """Check that every unit sphere is a (d-1)-sphere.  The empty graph passes
+    for every d, so level set code can state "empty or a (d-1)-graph" as one
+    verdict."""
     def decide(search):
         if d < 0 and g.n:
-            return VerificationReport("no", witness="graph is nonempty")
-        x = _bad_link(g, frozenset(range(g.n)), d, search)
-        if x is not None:
-            return VerificationReport("no", witness=x)
-        return VerificationReport("yes", dimension=d)
+            return _report("graph is nonempty", d)
+        return _report(_bad_link(g, frozenset(range(g.n)), d, search), d)
     return _verify(decide, budget)
-
-
-def components(g: SimplicialGraph) -> list[tuple[int, ...]]:
-    """Connected components as sorted vertex tuples, ordered by least vertex."""
-    seen = [False] * g.n
-    out = []
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        comp = []
-        stack = [v]
-        seen[v] = True
-        while stack:
-            w = stack.pop()
-            comp.append(w)
-            for u in g.neighbors[w]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        out.append(tuple(sorted(comp)))
-    return out

@@ -10,6 +10,7 @@ import io
 import json
 import os
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,6 +19,7 @@ from levelgraph import graphdoc
 from levelgraph.cli import _COMMANDS, _OPTIONS, main
 from levelgraph.levelset import level_surface
 from levelgraph.refine import extend_function
+from test_graphdoc import BAD_DOCUMENTS
 
 CAP_F = "5,-1,-2,-3,-4,-6,-7,-8"
 CAP_H = "-11,9,-12,-13,-14,-15,-16,-17"
@@ -121,6 +123,15 @@ def test_malformed_input_exits_4(capsys, monkeypatch, tmp_path, graph, budget_en
         monkeypatch.setenv("SARD_BUDGET", budget_env)
     rest = [a.replace("<missing>", str(tmp_path / "missing")) for a in argv[1:]]
     code, rep = run(capsys, argv[0], "--graph", graph, *rest)
+    assert code == 4
+    assert rep["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("name", list(BAD_DOCUMENTS))
+def test_undecodable_documents_exit_4(capsys, tmp_path, name):
+    path = tmp_path / "doc.json"
+    path.write_text(BAD_DOCUMENTS[name])
+    code, rep = run(capsys, "euler", "--graph", str(path))
     assert code == 4
     assert rep["error"]["type"] == "InputError"
 
@@ -434,5 +445,74 @@ def test_cli_contract_holds_for_any_argv(tmp_path_factory):
         assert isinstance(report, dict), argv
         if "usage:" in stderr.getvalue():
             assert code == 4 and report["error"]["type"] == "UsageError", argv
+
+    check()
+
+
+def test_cli_contract_holds_for_any_graph_document(tmp_path_factory):
+    """Fuzzed graph documents of at most 8 vertices (wrong types, bad or
+    duplicate edges, bools, non-finite floats, zero denominators, long digit
+    strings, ragged coordinates, unknown keys) never escape the exit codes
+    0, 2, 3 and 4, and every one gets one JSON object on stdout."""
+    path = str(tmp_path_factory.mktemp("docs") / "doc.json")
+    huge = "9" * 5000  # over the int-digit limit, as a literal or in a string
+
+    def mostly(good, bad):  # about three draws in four are well formed
+        return st.integers(0, 3).flatmap(lambda i: good if i else bad)
+
+    junk = st.sampled_from([None, True, False, "abc", 1.5, [], {}, -1, huge])
+    rational = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-7/3", "3", " 2/4 "]))
+    number = st.one_of(rational, st.sampled_from(["1/0", "x", huge, "@huge@"]), st.booleans(),
+                       st.floats(allow_nan=True, allow_infinity=True))
+    vertex = st.one_of(st.integers(-1, 8), junk)
+    edge = st.one_of(st.lists(vertex, min_size=2, max_size=2),
+                     st.lists(st.integers(0, 7), min_size=0, max_size=3), junk)
+
+    @st.composite
+    def documents(draw):
+        n = draw(st.integers(0, 8))
+        labels = st.lists(st.one_of(st.integers(0, 9), st.text(max_size=2),
+                                    st.lists(st.integers(0, 3), max_size=2)),
+                          min_size=n, max_size=n)
+        simple = st.lists(st.sampled_from(list(combinations(range(n), 2)) or [(0, 1)]),
+                          unique=True, max_size=12)
+        loose = st.lists(st.lists(st.integers(0, max(n - 1, 0)), min_size=2, max_size=2),
+                         max_size=12)  # self-loops and duplicates
+        doc = {"vertices": draw(mostly(st.just(n), st.one_of(labels, vertex))),
+               "edges": draw(mostly(simple.map(lambda es: [list(e) for e in es] if n > 1 else []),
+                                    st.one_of(loose, st.lists(edge, max_size=4), junk)))}
+        if draw(st.booleans()):
+            doc["values"] = draw(mostly(
+                st.fixed_dictionaries({"f": st.lists(rational, min_size=n, max_size=n)}),
+                st.dictionaries(st.sampled_from(["f", "g"]), st.one_of(
+                    st.lists(number, min_size=n, max_size=n), st.lists(number, max_size=9),
+                    junk), max_size=2)))
+        if not draw(st.integers(0, 3)):
+            point = st.lists(st.floats(-1, 1), min_size=3, max_size=3)
+            doc["coordinates"] = draw(mostly(st.lists(point, min_size=n, max_size=n), st.one_of(
+                st.lists(st.lists(st.one_of(st.floats(), st.integers(-2, 2), junk),
+                                  min_size=1, max_size=3), min_size=n, max_size=n),
+                st.lists(point, max_size=9), junk)))
+        if not draw(st.integers(0, 7)):
+            del doc[draw(st.sampled_from(["vertices", "edges"]))]
+        if not draw(st.integers(0, 3)):
+            doc[draw(st.sampled_from(["format_version", "extra"]))] = draw(
+                mostly(st.just(1), st.one_of(st.integers(0, 2), junk)))
+        return json.dumps(doc).replace('"@huge@"', huge)
+
+    commands = [["euler"], ["verify"], ["curvature"],
+                ["levelset", "--function", "f", "--level", "1/2"]]
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(documents(), st.sampled_from(commands))
+    def check(text, command):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(command[:1] + ["--graph", path] + command[1:])
+        assert code in (0, 2, 3, 4), (text, command, code)
+        assert isinstance(json.loads(stdout.getvalue()), dict), (text, command)
 
     check()

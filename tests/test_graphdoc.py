@@ -6,7 +6,18 @@ import pytest
 
 from levelgraph.catalog import octahedron
 from levelgraph.errors import InputError
-from levelgraph.graphdoc import GraphDocument, dumps, load, loads, save
+from levelgraph.graphdoc import FORMAT_VERSION, GraphDocument, dumps, load, loads, save
+from levelgraph.levelset import level_surface
+from levelgraph.rational import as_fraction
+
+# documents json.loads cannot turn into values: an integer over the
+# int-digit limit, nesting over the recursion limit, and two non-finite floats
+BAD_DOCUMENTS = {
+    "huge-integer": '{"vertices": ' + "9" * 5000 + ', "edges": []}',
+    "deep-nesting": "[" * 100_000,
+    "nan": '{"vertices": 3, "edges": [[0, 1]], "values": {"f": [NaN, 1, 2]}}',
+    "infinity": '{"vertices": 3, "edges": [[0, 1]], "values": {"f": [1, -Infinity, 2]}}',
+}
 
 
 def test_round_trip_is_idempotent():
@@ -48,6 +59,24 @@ def test_bad_json_reports_position():
         loads('{"vertices": 2,\n "edges": }')
 
 
+@pytest.mark.parametrize("name", list(BAD_DOCUMENTS))
+def test_undecodable_documents_are_input_errors(name):
+    with pytest.raises(InputError):
+        loads(BAD_DOCUMENTS[name])
+
+
+def test_non_finite_values_report_path():
+    with pytest.raises(InputError, match=r"values\['f'\]\[0\]: nan is not a rational"):
+        loads(BAD_DOCUMENTS["nan"])
+    with pytest.raises(InputError, match=r"values\['f'\]\[1\]: -inf is not a rational"):
+        loads(BAD_DOCUMENTS["infinity"])
+    for x in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InputError, match="is not a rational value"):
+            as_fraction(x)
+    with pytest.raises(InputError):
+        level_surface(octahedron(), [float("nan"), 1, 2, 3, 4, 5], 0)
+
+
 def test_bad_edge_reports_index():
     with pytest.raises(InputError, match=r"edges\[1\]"):
         loads('{"vertices": 3, "edges": [[0, 1], [1, 1]]}')
@@ -67,6 +96,11 @@ def test_bad_value_entry_reports_path():
 def test_unsupported_version():
     with pytest.raises(InputError, match="format_version"):
         loads('{"format_version": 99, "vertices": 1, "edges": []}')
+
+
+def test_dumps_writes_the_one_format_version():
+    assert f'"format_version": {FORMAT_VERSION}' in dumps(GraphDocument(octahedron()))
+    assert not hasattr(GraphDocument(octahedron()), "format_version")
 
 
 def test_file_round_trip(tmp_path):
