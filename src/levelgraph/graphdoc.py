@@ -8,6 +8,7 @@ canonical key order, making save(load(text)) idempotent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,12 +37,15 @@ def _parse_rational(entry, where: str) -> Fraction:
 
 
 def _parse_point(entry, where: str) -> tuple[float, ...]:
-    if isinstance(entry, list):
+    if isinstance(entry, list) and not any(isinstance(x, bool) for x in entry):
         try:
-            return tuple(float(x) for x in entry)
-        except (TypeError, ValueError):
+            point = tuple(float(x) for x in entry)
+        except (TypeError, ValueError, OverflowError):
             pass
-    _fail(where, f"expected a list of numbers, got {entry!r}")
+        else:
+            if all(math.isfinite(x) for x in point):
+                return point
+    _fail(where, f"expected a list of finite numbers, got {entry!r}")
 
 
 def loads(text: str) -> GraphDocument:

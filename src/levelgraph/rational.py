@@ -2,16 +2,31 @@
 
 Combinatorial pipelines run on fractions.Fraction throughout.  Floats are
 accepted at the boundary and converted by their exact binary expansion, so
-the conversion itself never introduces rounding.
+the conversion itself never introduces rounding.  Strings are parsed by
+Fraction after a check that a decimal exponent stays within MAX_EXPONENT
+in magnitude: Fraction("1e10000000") would spend seconds building 10**N.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError
+
+MAX_EXPONENT = 4300  # |N| in "...eN", the same as Python's default int-digit limit
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+
+
+def _parse(text: str) -> Fraction:
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise InputError(f"exponent of {text!r} is over {MAX_EXPONENT} in magnitude")
+    return Fraction(text)
 
 
 def as_fraction(x) -> Fraction:
@@ -27,7 +42,7 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)  # exact binary expansion
     if isinstance(x, str):
         try:
-            return Fraction(x.strip())
+            return _parse(x.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {x!r}") from exc
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")

@@ -7,6 +7,9 @@ vectors depend only on the eigenspaces, never on the basis the solver
 happened to pick inside a degenerate one.  Eigenvectors are rationalized
 (exact binary expansion of the floats) before level surfaces are built, so
 everything downstream stays exact.
+
+numpy is imported inside the functions that call it, so it is loaded on
+the first eigensolve and never by code that only imports this module.
 """
 
 from __future__ import annotations
@@ -15,15 +18,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .core import SimplicialGraph
 from .errors import ConvergenceFailure, InputError, LevelGraphError, ZeroOnVertex
 from .levelset import LevelSurfaceGraph, level_surface
 from .sard import SardTrace, sard_pipeline
 from .topology import VerificationReport, components, is_sphere
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ZERO_TOL = 1e-9  # float entries this close to 0 count as zeros
 EIGENVALUE_MARGIN = 1e-8  # eigenvalues this close to 0 or n are taken as 0 or n
@@ -81,6 +85,8 @@ def eigendecompose(L) -> Spectrum:
     Raises ConvergenceFailure when eigh fails or an eigenpair residual
     exceeds 1e-8 * max(1, ||L||_inf).
     """
+    import numpy as np
+
     try:
         A = np.asarray(L, dtype=np.float64)
     except (TypeError, ValueError):
@@ -108,6 +114,8 @@ _PHI = (sqrt(5) - 1) / 2
 
 def _probe(n: int, j: int) -> np.ndarray:
     """Probe j: entries frac((i+1)(j+1)phi + (i+1)/sqrt 2) + 1/2, all in [1/2, 3/2)."""
+    import numpy as np
+
     i = np.arange(1, n + 1, dtype=np.float64)
     return np.modf(i * ((j + 1) * _PHI) + i / sqrt(2))[0] + 0.5
 
@@ -124,6 +132,8 @@ def _canonical_basis(eigenvalues: Sequence[float], U: np.ndarray) -> np.ndarray:
     vanish on whole vertex sets (e_0 onto the octahedron's lambda=4 space
     is (e_0 - e_5)/2), which puts nodal surfaces through vertices.
     """
+    import numpy as np
+
     n = U.shape[0]
     V = np.empty_like(U)
     start = 0
@@ -155,6 +165,8 @@ def _canonical_basis(eigenvalues: Sequence[float], U: np.ndarray) -> np.ndarray:
 
 def spectrum_of(g: SimplicialGraph) -> Spectrum:
     """Spectrum of the graph Laplacian D - A."""
+    import numpy as np
+
     L = np.zeros((g.n, g.n))
     for v, nbrs in enumerate(g.neighbors):
         L[v, list(nbrs)] = -1.0

@@ -8,7 +8,10 @@ stock exit 2 to avoid colliding with the verdict code).
 import contextlib
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -93,6 +96,14 @@ MISSING_DIR = "<missing>/x"  # a path under a directory that does not exist
     pytest.param({"coordinates": [1, 2, 3, 4, 5, 6]}, None, ("verify",), id="coord-scalar"),
     pytest.param({"coordinates": [[1, 0, 0]] * 5 + [[0, 1]]}, None, ("verify",),
                  id="coord-ragged"),
+    pytest.param({"coordinates": [[0, -math.inf, 0]] * 6}, None, ("verify",),
+                 id="coord-infinity"),
+    pytest.param({"coordinates": [[0, 0, True]] * 6}, None, ("verify",), id="coord-bool"),
+    pytest.param({"values": {"f": [1, 2, "1e10000000", 4, 5, 6]}}, None,
+                 ("levelset", "--function", "f", "--level", "5/2"), id="value-huge-exponent"),
+    pytest.param("builtin:octahedron", None, ("levelset", "--function", "1,2,3,4,5,6",
+                                              "--level", "1e10000000"),
+                 id="level-huge-exponent"),
     pytest.param("builtin:octahedron", "abc", ("verify",), id="budget-env-non-int"),
     pytest.param("builtin:octahedron", "-1", ("verify",), id="budget-env-negative"),
     pytest.param("builtin:octahedron", None, ("verify", "--budget", "-1"),
@@ -347,6 +358,41 @@ def test_export_off_file(capsys, tmp_path):
         assert fh.readline() == "6 8 0\n"
 
 
+def test_non_finite_coordinates_never_reach_an_export(capsys, tmp_path):
+    doc, out = tmp_path / "doc.json", tmp_path / "oct.off"
+    doc.write_text(json.dumps({"vertices": 6, "edges": OCTAHEDRON_EDGES,
+                               "coordinates": [[math.nan, 0, 0]] + [[1, 0, 0]] * 5}))
+    code, rep = run(capsys, "export", "--graph", str(doc), "--format", "off", "--out", str(out))
+    assert code == 4 and rep["error"]["type"] == "InputError"
+    assert "coordinates[0]" in rep["error"]["message"]
+    assert not out.exists()
+
+
+COLD_START = """
+import sys
+import levelgraph
+from levelgraph import cli
+loaded = ["numpy" in sys.modules]
+for command in ("euler", "verify", "levelset", "spectrum"):
+    argv = [command, "--graph", "builtin:octahedron"]
+    if command == "levelset":
+        argv += ["--function", "1,2,3,4,5,6", "--level", "5/2"]
+    assert cli.main(argv) == 0
+    loaded.append("numpy" in sys.modules)
+print(loaded, file=sys.stderr)
+"""
+
+
+def test_numpy_is_loaded_only_by_an_eigensolve():
+    """A fresh interpreter imports numpy neither for `import levelgraph` nor for
+    euler, verify and levelset; spectrum, the positive control, loads it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stderr.strip().splitlines()[-1] == "[False, False, False, False, True]"
+
+
 def test_levelset_json_export(capsys, tmp_path):
     out = str(tmp_path / "surface.json")
     code, rep = run(capsys, "levelset", "--graph", "builtin:octahedron",
@@ -452,8 +498,9 @@ def test_cli_contract_holds_for_any_argv(tmp_path_factory):
 def test_cli_contract_holds_for_any_graph_document(tmp_path_factory):
     """Fuzzed graph documents of at most 8 vertices (wrong types, bad or
     duplicate edges, bools, non-finite floats, zero denominators, long digit
-    strings, ragged coordinates, unknown keys) never escape the exit codes
-    0, 2, 3 and 4, and every one gets one JSON object on stdout."""
+    strings, huge exponents, ragged or non-finite coordinates, unknown keys)
+    never escape the exit codes 0, 2, 3 and 4, and every one gets one JSON
+    object on stdout."""
     path = str(tmp_path_factory.mktemp("docs") / "doc.json")
     huge = "9" * 5000  # over the int-digit limit, as a literal or in a string
 
@@ -462,8 +509,10 @@ def test_cli_contract_holds_for_any_graph_document(tmp_path_factory):
 
     junk = st.sampled_from([None, True, False, "abc", 1.5, [], {}, -1, huge])
     rational = st.one_of(st.integers(-3, 3), st.sampled_from(["1/2", "-7/3", "3", " 2/4 "]))
-    number = st.one_of(rational, st.sampled_from(["1/0", "x", huge, "@huge@"]), st.booleans(),
-                       st.floats(allow_nan=True, allow_infinity=True))
+    # "1e10000000" is over the exponent cap: Fraction alone would take seconds on it
+    number = st.one_of(rational, st.sampled_from(["1/0", "x", huge, "@huge@", "1e10000000"]),
+                       st.booleans(), st.floats(allow_nan=True, allow_infinity=True))
+    non_finite = st.sampled_from([math.nan, math.inf, -math.inf, "1e10000000"])
     vertex = st.one_of(st.integers(-1, 8), junk)
     edge = st.one_of(st.lists(vertex, min_size=2, max_size=2),
                      st.lists(st.integers(0, 7), min_size=0, max_size=3), junk)
@@ -486,11 +535,12 @@ def test_cli_contract_holds_for_any_graph_document(tmp_path_factory):
                 st.fixed_dictionaries({"f": st.lists(rational, min_size=n, max_size=n)}),
                 st.dictionaries(st.sampled_from(["f", "g"]), st.one_of(
                     st.lists(number, min_size=n, max_size=n), st.lists(number, max_size=9),
+                    st.lists(st.one_of(rational, non_finite), min_size=n, max_size=n),
                     junk), max_size=2)))
         if not draw(st.integers(0, 3)):
             point = st.lists(st.floats(-1, 1), min_size=3, max_size=3)
             doc["coordinates"] = draw(mostly(st.lists(point, min_size=n, max_size=n), st.one_of(
-                st.lists(st.lists(st.one_of(st.floats(), st.integers(-2, 2), junk),
+                st.lists(st.lists(st.one_of(st.floats(), st.integers(-2, 2), non_finite, junk),
                                   min_size=1, max_size=3), min_size=n, max_size=n),
                 st.lists(point, max_size=9), junk)))
         if not draw(st.integers(0, 7)):

@@ -8,7 +8,7 @@ from levelgraph.catalog import octahedron
 from levelgraph.errors import InputError
 from levelgraph.graphdoc import FORMAT_VERSION, GraphDocument, dumps, load, loads, save
 from levelgraph.levelset import level_surface
-from levelgraph.rational import as_fraction
+from levelgraph.rational import MAX_EXPONENT, as_fraction
 
 # documents json.loads cannot turn into values: an integer over the
 # int-digit limit, nesting over the recursion limit, and two non-finite floats
@@ -75,6 +75,24 @@ def test_non_finite_values_report_path():
             as_fraction(x)
     with pytest.raises(InputError):
         level_surface(octahedron(), [float("nan"), 1, 2, 3, 4, 5], 0)
+
+
+@pytest.mark.parametrize("text", ["NaN", "-Infinity", "true", "1" + "0" * 400, '"1e999"', '"nan"'])
+def test_coordinates_must_be_finite_numbers(text):
+    doc = '{"vertices": 2, "edges": [[0, 1]], "coordinates": [[0, 0], [%s, 1]]}' % text
+    with pytest.raises(InputError, match=r"coordinates\[1\]: expected a list of finite numbers"):
+        loads(doc)
+
+
+def test_decimal_exponents_are_capped():
+    assert as_fraction(f"1e{MAX_EXPONENT}") == 10 ** MAX_EXPONENT
+    assert as_fraction(f"-2.5E-{MAX_EXPONENT}") == Fraction(-25, 10 ** (MAX_EXPONENT + 1))
+    assert as_fraction("1e0_0_3") == 1000
+    for text in (f"1e{MAX_EXPONENT + 1}", "1e10000000", "1e-10000000", "1e" + "9" * 5000):
+        with pytest.raises(InputError, match=f"over {MAX_EXPONENT} in magnitude"):
+            as_fraction(text)
+    with pytest.raises(InputError, match=r"values\['f'\]\[1\]: exponent"):
+        loads('{"vertices": 2, "edges": [[0, 1]], "values": {"f": [1, "1e10000000"]}}')
 
 
 def test_bad_edge_reports_index():
