@@ -14,8 +14,7 @@ from .catalog import (build, cross_polytope, cycle, icosahedron, kuhn_grid,
 from .topology import (VerificationReport, components, is_contractible, is_dgraph,
                        is_sphere)
 from .rational import as_fraction, as_fraction_vector
-from .refine import (RefinedGraph, barycentric, dimension_coloring, extend_by_support,
-                     extend_function)
+from .refine import RefinedGraph, barycentric, extend_by_support, extend_function
 from .levelset import (LevelSurfaceGraph, SurfaceTriangles, interpolate_coordinates,
                        level_surface, simultaneous_locus, surface_triangles)
 from .morse import (CurvatureVector, IndexReport, central_surface, curvature,
@@ -41,8 +40,7 @@ __all__ = [
     "octahedron", "random_sphere", "sixteen_cell", "suspension", "wheel",
     "VerificationReport", "components", "is_contractible", "is_dgraph", "is_sphere",
     "as_fraction", "as_fraction_vector",
-    "RefinedGraph", "barycentric", "dimension_coloring", "extend_by_support",
-    "extend_function",
+    "RefinedGraph", "barycentric", "extend_by_support", "extend_function",
     "LevelSurfaceGraph", "SurfaceTriangles", "interpolate_coordinates",
     "level_surface", "simultaneous_locus", "surface_triangles",
     "CurvatureVector", "IndexReport", "central_surface", "curvature",

@@ -128,7 +128,7 @@ def _export(target, args, report: dict, fmt: Optional[str] = None,
             g = getattr(target, "graph", target)
             graphdoc.save(graphdoc.GraphDocument(g, values or {}), args.out)
         else:
-            export_mesh(target, fmt, args.out, budget=args.budget)
+            export_mesh(target, fmt, args.out)
     except OSError as e:
         raise InputError(f"cannot write {args.out}: {e.strerror}") from None
     report["out"] = args.out
@@ -241,7 +241,7 @@ def _cmd_lagrange(args, doc) -> tuple[dict, int]:
                         "root": rank.root, "dependent": rank.dependent},
            "injectivity": injectivity}
     if len(fs) == 2 and doc.graph.dimension() == 2:
-        out["candidates"] = lagrange_candidates(doc.graph, fs[0], fs[1], budget=args.budget)
+        out["candidates"] = lagrange_candidates(doc.graph, fs[0], fs[1])
     return out, EXIT_OK
 
 
@@ -353,7 +353,7 @@ _OPTIONS = {
 }
 
 _CUT = ("--graph", "--function", "--level")
-_EXPORT = ("--out", "--format", "--budget")  # --budget bounds the mesh export's surface check
+_EXPORT = ("--out", "--format")
 
 # each subcommand accepts exactly the options its handler reads
 _COMMANDS = {
@@ -361,14 +361,15 @@ _COMMANDS = {
     "euler": (_cmd_euler, ("--graph",)),
     "curvature": (_cmd_curvature, ("--graph",)),
     "refine": (_cmd_refine, ("--graph", "--out")),
-    "levelset": (_cmd_levelset, _CUT + _EXPORT),
-    "simultaneous": (_cmd_simultaneous, _CUT + _EXPORT),
-    "sard": (_cmd_sard, _CUT + _EXPORT),
-    "lagrange": (_cmd_lagrange, _CUT + ("--budget",)),
-    "variety": (_cmd_variety, ("--poly", "--domain", "--step", "--periodic") + _EXPORT),
+    "levelset": (_cmd_levelset, _CUT + ("--budget",) + _EXPORT),
+    "simultaneous": (_cmd_simultaneous, _CUT + ("--budget",) + _EXPORT),
+    "sard": (_cmd_sard, _CUT + ("--budget",) + _EXPORT),
+    "lagrange": (_cmd_lagrange, _CUT),
+    "variety": (_cmd_variety,
+                ("--poly", "--domain", "--step", "--periodic", "--budget") + _EXPORT),
     "spectrum": (_cmd_spectrum, ("--graph",)),
     "nodal": (_cmd_nodal, ("--graph", "--k", "--seed") + _EXPORT),
-    "ground-state": (_cmd_ground_state, ("--graph", "--seed") + _EXPORT),
+    "ground-state": (_cmd_ground_state, ("--graph", "--seed", "--budget") + _EXPORT),
     "export": (_cmd_export, _CUT + _EXPORT),
 }
 

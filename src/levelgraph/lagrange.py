@@ -142,8 +142,7 @@ def max_rank_check(g: SimplicialGraph, fs: Sequence[Sequence],
     return MaxRankReport(True, checked=checked)
 
 
-def lagrange_candidates(g: SimplicialGraph, f: Sequence, h: Sequence,
-                        budget: Optional[int] = None) -> list[Simplex]:
+def lagrange_candidates(g: SimplicialGraph, f: Sequence, h: Sequence) -> list[Simplex]:
     """Triangles of a 2-graph where the two sign gradients can be parallel.
 
     A triangle qualifies when some root sees equal gradient vectors, or when
@@ -151,7 +150,7 @@ def lagrange_candidates(g: SimplicialGraph, f: Sequence, h: Sequence,
     a vanishing gradient).  These are the candidates for extrema of f under
     the constraint h.
     """
-    report = is_dgraph(g, 2, budget=budget)
+    report = is_dgraph(g, 2)
     if not report.ok:
         raise NotASurface(f"2-graph verification said {report.verdict}")
     vf = as_fraction_vector(f, g.n)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import Simplex, SimplicialGraph
 from .errors import DimensionExceeded, InputError, LevelHitsVertex, MissingCoordinates, NotASurface
@@ -117,7 +117,7 @@ class SurfaceTriangles:
     orientable: bool
 
 
-def surface_triangles(s, budget: Optional[int] = None) -> SurfaceTriangles:
+def surface_triangles(s) -> SurfaceTriangles:
     """Triangles of a 2-graph with a best-effort consistent orientation.
 
     Accepts a level surface or a plain graph; raises NotASurface unless the
@@ -126,7 +126,7 @@ def surface_triangles(s, budget: Optional[int] = None) -> SurfaceTriangles:
     a parity obstruction flips the orientable flag instead of failing.
     """
     graph = s.graph if hasattr(s, "graph") else s
-    report = is_dgraph(graph, 2, budget=budget)
+    report = is_dgraph(graph, 2)
     if not report.ok:
         raise NotASurface(f"2-graph verification said {report.verdict} "
                           f"(witness {report.witness!r})")

@@ -8,7 +8,7 @@ components since both formats are 3D.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .core import SimplicialGraph
 from .errors import MissingCoordinates
@@ -29,42 +29,40 @@ def _points(g: SimplicialGraph) -> list[tuple[float, float, float]]:
     return out
 
 
-def _faces(g: SimplicialGraph, budget: Optional[int]) -> list[tuple[int, int, int]]:
+def _faces(g: SimplicialGraph) -> list[tuple[int, int, int]]:
     if g.dimension() < 2:
         return []
-    return list(surface_triangles(g, budget=budget).triangles)
+    return list(surface_triangles(g).triangles)
 
 
-def to_off(surface: Union[SimplicialGraph, LevelSurfaceGraph],
-           budget: Optional[int] = None) -> str:
+def to_off(surface: Union[SimplicialGraph, LevelSurfaceGraph]) -> str:
     g = _graph_of(surface)
     points = _points(g)
-    faces = _faces(g, budget)
+    faces = _faces(g)
     lines = ["OFF", f"{len(points)} {len(faces)} 0"]
     lines += [f"{x} {y} {z}" for x, y, z in points]
     lines += [f"3 {a} {b} {c}" for a, b, c in faces]
     return "\n".join(lines) + "\n"
 
 
-def to_obj(surface: Union[SimplicialGraph, LevelSurfaceGraph],
-           budget: Optional[int] = None) -> str:
+def to_obj(surface: Union[SimplicialGraph, LevelSurfaceGraph]) -> str:
     g = _graph_of(surface)
     points = _points(g)
     lines = [f"v {x} {y} {z}" for x, y, z in points]
     if g.dimension() >= 2:
-        lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in _faces(g, budget)]
+        lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in _faces(g)]
     elif g.dimension() == 1:
         lines += [f"l {u + 1} {v + 1}" for u, v in g.edges()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def export_mesh(surface: Union[SimplicialGraph, LevelSurfaceGraph],
-                fmt: str, path: str, budget: Optional[int] = None) -> str:
+                fmt: str, path: str) -> str:
     """Write the surface to path in the given format; returns the path."""
     if fmt == "off":
-        text = to_off(surface, budget=budget)
+        text = to_off(surface)
     elif fmt == "obj":
-        text = to_obj(surface, budget=budget)
+        text = to_obj(surface)
     else:
         raise ValueError(f"unknown mesh format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -60,16 +60,6 @@ def barycentric(g: SimplicialGraph) -> RefinedGraph:
     return RefinedGraph(containment_graph(origin, 0, coords), g, origin)
 
 
-def dimension_coloring(r) -> tuple[int, ...]:
-    """Color each derived vertex by the dimension of its originating simplex.
-
-    Works for any object with an origin attribute (refined graphs and level
-    surfaces).  Containment edges always join different dimensions, so this
-    is a proper coloring.
-    """
-    return tuple(len(s) - 1 for s in r.origin)
-
-
 def extend_by_support(values: Sequence[Fraction],
                       supports: Sequence[Sequence[int]]) -> list[Fraction]:
     """Average a vertex function over each support (a simplex or a multiset)."""

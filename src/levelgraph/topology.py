@@ -11,6 +11,9 @@ of verdicts keyed by vertex set (and dimension, for spheres): every
 subgraph it visits is induced from the input, and the memo is dropped when
 the call returns, so a verdict depends only on the graph, the dimension
 and the budget.  An exhausted budget gives "resource_limit", not a guess.
+Only is_sphere for d >= 2, is_dgraph for d >= 3 and is_contractible spend
+expansions.  The removal search is a loop over a list of vertex sets, so
+Python recursion grows with the dimension, not with the vertex count.
 
 A "no" names the first check that fails, cheapest first:
 
@@ -37,16 +40,12 @@ closed surface, and by their classification a 2-sphere iff chi = V - E/3
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import SimplicialGraph, euler_characteristic
 
 DEFAULT_BUDGET = 10 ** 6
-
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
 
 
 @dataclass
@@ -162,29 +161,41 @@ def _order(base, active) -> list[int]:
 # -- contractibility ---------------------------------------------------------
 
 
-def _contractible(base, active, budget) -> bool:
-    """Contractibility of a connected induced subgraph."""
-    n = len(active)
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    if _dominating(base, active):
-        return True
-    hit = budget.memo.get(active)
-    if hit is not None:
-        return hit
-    budget.spend()
-    result = False
+def _removals(base, active, budget):
+    """active - {x} for each x, in _order, whose unit sphere S(x) is contractible."""
     for x in _order(base, active):
         sphere = base.neighbors[x] & active
         # a contractible S(x) is nonempty and connected, so G-x stays connected
-        if (_connected(base, sphere) and _contractible(base, sphere, budget)
-                and _contractible(base, active - {x}, budget)):
-            result = True
-            break
-    budget.memo[active] = result
-    return result
+        if sphere and _connected(base, sphere) and _contractible(base, sphere, budget):
+            yield active - {x}
+
+
+def _peel(base, starts, budget) -> bool:
+    """Whether some vertex set from starts reaches a point by removals.
+
+    A depth-first search whose path is a list of (vertex set, iterator of its
+    removals), so Python's stack does not grow with the number of vertices.
+    Each set entered spends one expansion; a set whose removals all fail is
+    memoized False, and on success every set on the path is memoized True."""
+    path = [(None, starts)]
+    while path:
+        nxt = next(path[-1][1], None)
+        if nxt is None:
+            active, _ = path.pop()
+            if path:
+                budget.memo[active] = False
+        elif _dominating(base, nxt) or budget.memo.get(nxt):
+            budget.memo.update((active, True) for active, _ in path[1:])
+            return True
+        elif nxt not in budget.memo:
+            budget.spend()
+            path.append((nxt, _removals(base, nxt, budget)))
+    return False
+
+
+def _contractible(base, active, budget) -> bool:
+    """Contractibility of a nonempty connected induced subgraph."""
+    return _peel(base, iter([active]), budget)
 
 
 def is_contractible(g: SimplicialGraph, budget: Optional[int] = None) -> VerificationReport:
@@ -245,8 +256,8 @@ def _sphere(base, active, d, budget):
             return budget.memo[active, d]
         budget.spend()
     witness = _bad_link(base, active, d, budget)
-    if witness is None and (d < 3 or not any(
-            _contractible(base, active - {x}, budget) for x in _order(base, active))):
+    if witness is None and (d < 3 or not _peel(
+            base, (active - {x} for x in _order(base, active)), budget)):
         witness = "no vertex deletion leaves a contractible graph"
     if d >= 3:
         budget.memo[active, d] = witness

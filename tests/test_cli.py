@@ -108,8 +108,6 @@ MISSING_DIR = "<missing>/x"  # a path under a directory that does not exist
     pytest.param("builtin:octahedron", "-1", ("verify",), id="budget-env-negative"),
     pytest.param("builtin:octahedron", None, ("verify", "--budget", "-1"),
                  id="budget-flag-negative"),
-    pytest.param("builtin:octahedron", None, ("nodal", "--budget", "-1"),
-                 id="budget-flag-negative-unused"),
     pytest.param(None, None, ("verify",), id="graph-is-directory"),
     pytest.param(b"\xff\xfe{}", None, ("verify",), id="graph-not-utf8"),
     pytest.param("builtin:octahedron", None, ("refine", "--out", MISSING_DIR),
@@ -169,6 +167,10 @@ LEVELSET = ("levelset", *OCTAHEDRON, "--function", "1,2,3,4,5,6", "--level", "7/
     pytest.param(("verify", *OCTAHEDRON, "--seed", "1"), id="verify-seed"),
     pytest.param(("euler", *OCTAHEDRON, "--out", "x.json"), id="euler-out"),
     pytest.param(("spectrum", *OCTAHEDRON, "--budget", "5"), id="spectrum-budget"),
+    pytest.param(("nodal", *OCTAHEDRON, "--budget", "-1"), id="budget-flag-negative-unused"),
+    pytest.param(("export", *OCTAHEDRON, "--out", "x.off", "--budget", "5"), id="export-budget"),
+    pytest.param(("lagrange", *OCTAHEDRON, "--function", "1,2,3,4,5,6", "--budget", "5"),
+                 id="lagrange-budget"),
     pytest.param(("spectrum", *OCTAHEDRON, "--tol", "1e300"), id="spectrum-tol"),
     pytest.param(("nodal", *OCTAHEDRON, "--dim", "2"), id="nodal-dim"),
     pytest.param(("ground-state", *OCTAHEDRON, "--k", "3"), id="ground-state-k"),

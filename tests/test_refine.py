@@ -4,7 +4,7 @@ Validates:
     - vertex count equals total simplex count, Euler characteristic preserved
     - refined spheres stay spheres
     - edges are exactly the strict containment pairs
-    - dimension coloring is proper
+    - coloring by origin dimension is proper: edges join different dimensions
     - extension by simplex means commutes with affine maps
 """
 
@@ -13,7 +13,7 @@ import random
 
 from levelgraph.core import euler_characteristic
 from levelgraph.catalog import cross_polytope, cycle, icosahedron, octahedron, wheel
-from levelgraph.refine import barycentric, dimension_coloring, extend_function
+from levelgraph.refine import barycentric, extend_function
 from levelgraph.topology import is_sphere
 
 
@@ -52,10 +52,9 @@ def test_edges_are_all_containment_pairs():
 def test_dimension_coloring_proper():
     g = icosahedron()
     r = barycentric(g)
-    colors = dimension_coloring(r)
-    assert set(colors) == {0, 1, 2}
+    assert {len(s) for s in r.origin} == {1, 2, 3}
     for u, v in r.graph.edges():
-        assert colors[u] != colors[v]
+        assert len(r.origin[u]) != len(r.origin[v])
 
 
 def test_extension_mean_values():

@@ -11,8 +11,16 @@ Validates:
     - one expansion per decided 2-sphere
     - a verdict depends only on the graph, the dimension and the budget, not
       on earlier calls
+    - only is_sphere for d >= 2, is_dgraph for d >= 3 and is_contractible
+      spend expansions
+    - importing the package leaves the recursion limit alone, and the
+      removal search runs far deeper than the Python stack it is given
 """
 
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -354,3 +362,51 @@ def test_verdict_does_not_depend_on_earlier_calls():
         return [vars(check(g, *args)) for g, d in _differential_cases()
                 for check, args in ((is_sphere, (d,)), (is_contractible, ()))]
     assert reports() == reports()
+
+
+def test_low_dimensions_spend_no_budget():
+    """is_dgraph for d <= 2 and is_sphere for d <= 1 never reach a search, so a
+    zero budget gives the same report as the default one, with 0 expansions."""
+    graphs = [sixteen_cell(), kuhn_grid(3, (4, 4, 4), periodic=True), wheel(7),
+              disjoint_union(cycle(4), cycle(5)), octahedron(), icosahedron(),
+              kuhn_grid(2, (5, 5), periodic=True), cycle(6), SimplicialGraph(0, [])]
+    for g in graphs:
+        for check, dims in ((is_dgraph, range(-1, 3)), (is_sphere, range(-1, 2))):
+            for d in dims:
+                r, case = check(g, d, budget=0), (check.__name__, g.n, d)
+                assert r.verdict != "resource_limit" and r.expansions == 0, case
+                assert vars(r) == vars(check(g, d)), case
+
+
+def _fresh_interpreter(code: str):
+    """The JSON that code prints in a new interpreter that imports from src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(done.stdout)
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    limits = _fresh_interpreter(
+        "import json, sys\n"
+        "before = sys.getrecursionlimit()\n"
+        "import levelgraph\n"
+        "print(json.dumps([before, sys.getrecursionlimit()]))\n")
+    assert limits[0] == limits[1]
+
+
+DEEP_SEARCHES = """
+import json, sys
+from levelgraph import is_contractible, is_sphere, kuhn_grid, random_sphere, suspension
+sys.setrecursionlimit(120)
+reports = [is_sphere(suspension(random_sphere(3, 250)), 3),
+           is_contractible(kuhn_grid(3, (5, 5, 5)))]
+print(json.dumps([[r.verdict, r.expansions] for r in reports]))
+"""
+
+
+def test_removal_search_is_not_bounded_by_the_python_stack():
+    """With a recursion limit of 120, a 3-sphere of 264 vertices and a
+    contractible 3-ball of 216 are peeled vertex by vertex: the search keeps
+    its path on a list, and Python recursion grows with the dimension only."""
+    assert _fresh_interpreter(DEEP_SEARCHES) == [["yes", 1167], ["yes", 237]]
