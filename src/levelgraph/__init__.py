@@ -25,9 +25,9 @@ from .lagrange import (InjectivityReport, MaxRankReport, SignGradient,
                        strong_injectivity_check)
 from .sard import SardStage, SardTrace, sard_pipeline
 from .variety import Polynomial, parse_polynomial, triangulate_variety
-from .spectral import (GroundState, NodalReport, Spectrum, eigendecompose,
+from .spectral import (GroundState, NodalReport, Spectrum,
                        eigenfunction_principle_check, ground_state_surface,
-                       laplacian, nodal_report, signed_components, spectrum_of)
+                       nodal_report, signed_components, spectrum_of)
 from .graphdoc import GraphDocument
 from .meshio import export_mesh, to_obj, to_off
 from . import errors
@@ -49,8 +49,8 @@ __all__ = [
     "max_rank_check", "sign_gradient", "strong_injectivity_check",
     "SardStage", "SardTrace", "sard_pipeline",
     "Polynomial", "parse_polynomial", "triangulate_variety",
-    "GroundState", "NodalReport", "Spectrum", "eigendecompose",
-    "eigenfunction_principle_check", "ground_state_surface", "laplacian",
+    "GroundState", "NodalReport", "Spectrum",
+    "eigenfunction_principle_check", "ground_state_surface",
     "nodal_report", "signed_components", "spectrum_of",
     "GraphDocument", "export_mesh", "to_obj", "to_off",
     "errors",

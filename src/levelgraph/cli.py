@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -152,23 +151,6 @@ def _stages(trace, args, report: dict, excluded: bool = False) -> int:
         for s in trace.stages]
     _export(trace.stages[-1].surface, args, report, args.format)
     return _verdict_exit(*(s.verdict for s in trace.stages))
-
-
-def _budget(args) -> Optional[int]:
-    """The --budget flag, else SARD_BUDGET, else None (the library default)."""
-    if args.budget is not None:
-        budget = args.budget
-    else:
-        env = os.environ.get("SARD_BUDGET")
-        if not env:
-            return None
-        try:
-            budget = int(env)
-        except ValueError:
-            raise InputError(f"SARD_BUDGET must be an integer, got {env!r}") from None
-    if budget < 0:
-        raise InputError(f"budget must not be negative, got {budget}")
-    return budget
 
 
 # ---------------------------------------------------------------- commands
@@ -394,8 +376,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _build_parser().parse_args(argv, args)
         handler, options = _COMMANDS[args.command]
-        if "--budget" in options:
-            args.budget = _budget(args)
+        if "--budget" in options and args.budget is not None and args.budget < 0:
+            raise InputError(f"budget must not be negative, got {args.budget}")
         report = {"command": args.command}
         doc = None
         if "--graph" in options:

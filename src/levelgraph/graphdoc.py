@@ -17,6 +17,8 @@ from .errors import InputError
 from .rational import as_fraction
 
 FORMAT_VERSION = 1
+# a loaded graph allocates one neighbour set per vertex before any edge is read
+MAX_VERTICES = 10 ** 5
 
 
 @dataclass
@@ -62,16 +64,18 @@ def loads(text: str) -> GraphDocument:
         _fail("format_version", f"unsupported version {version!r}")
 
     vertices = raw.get("vertices")
-    labels = None
     if isinstance(vertices, int) and not isinstance(vertices, bool):
         n = vertices
     elif isinstance(vertices, list):
         n = len(vertices)
-        labels = [tuple(v) if isinstance(v, list) else v for v in vertices]
     else:
         _fail("vertices", "must be a count or a list of labels")
     if n < 0:
         _fail("vertices", f"negative count {n}")
+    if n > MAX_VERTICES:
+        _fail("vertices", f"{n} vertices exceed the cap of {MAX_VERTICES}")
+    labels = ([tuple(v) if isinstance(v, list) else v for v in vertices]
+              if isinstance(vertices, list) else None)
 
     edges = raw.get("edges", [])
     if not isinstance(edges, list):

@@ -13,10 +13,14 @@ from typing import Union
 from .core import SimplicialGraph
 from .errors import MissingCoordinates
 from .levelset import LevelSurfaceGraph, surface_triangles
+from .refine import RefinedGraph
+
+Surface = Union[SimplicialGraph, LevelSurfaceGraph, RefinedGraph]
 
 
-def _graph_of(surface) -> SimplicialGraph:
-    return surface.graph if isinstance(surface, LevelSurfaceGraph) else surface
+def _graph_of(surface: Surface) -> SimplicialGraph:
+    """The graph itself, or the .graph of a level surface or a refinement."""
+    return getattr(surface, "graph", surface)
 
 
 def _points(g: SimplicialGraph) -> list[tuple[float, float, float]]:
@@ -35,7 +39,7 @@ def _faces(g: SimplicialGraph) -> list[tuple[int, int, int]]:
     return list(surface_triangles(g).triangles)
 
 
-def to_off(surface: Union[SimplicialGraph, LevelSurfaceGraph]) -> str:
+def to_off(surface: Surface) -> str:
     g = _graph_of(surface)
     points = _points(g)
     faces = _faces(g)
@@ -45,7 +49,7 @@ def to_off(surface: Union[SimplicialGraph, LevelSurfaceGraph]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_obj(surface: Union[SimplicialGraph, LevelSurfaceGraph]) -> str:
+def to_obj(surface: Surface) -> str:
     g = _graph_of(surface)
     points = _points(g)
     lines = [f"v {x} {y} {z}" for x, y, z in points]
@@ -56,8 +60,7 @@ def to_obj(surface: Union[SimplicialGraph, LevelSurfaceGraph]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def export_mesh(surface: Union[SimplicialGraph, LevelSurfaceGraph],
-                fmt: str, path: str) -> str:
+def export_mesh(surface: Surface, fmt: str, path: str) -> str:
     """Write the surface to path in the given format; returns the path."""
     if fmt == "off":
         text = to_off(surface)

@@ -1,12 +1,13 @@
 """Laplacian spectra, nodal regions and nodal surfaces of eigenfunctions.
 
-Eigenpairs come from numpy's eigh and are then put in a canonical basis:
-each cluster of (numerically) equal eigenvalues gets the Gram-Schmidt
-basis of fixed positive probe vectors projected onto it, so the returned
-vectors depend only on the eigenspaces, never on the basis the solver
-happened to pick inside a degenerate one.  Eigenvectors are rationalized
-(exact binary expansion of the floats) before level surfaces are built, so
-everything downstream stays exact.
+spectrum_of is the one eigensolve entry.  It builds the float Laplacian
+of a graph, solves it with numpy's eigh and puts the eigenvectors in a
+canonical basis: each cluster of (numerically) equal eigenvalues gets the
+Gram-Schmidt basis of fixed positive probe vectors projected onto it, so
+the returned vectors depend only on the eigenspaces, never on the basis
+the solver happened to pick inside a degenerate one.  Eigenvectors are
+rationalized (exact binary expansion of the floats) before level surfaces
+are built, so everything downstream stays exact.
 
 numpy is imported inside the functions that call it, so it is loaded on
 the first eigensolve and never by code that only imports this module.
@@ -37,7 +38,7 @@ EIGENVALUE_MARGIN = 1e-8  # eigenvalues this close to 0 or n are taken as 0 or n
 class Spectrum:
     eigenvalues: tuple[float, ...]  # ascending
     eigenvectors: np.ndarray        # column k pairs with eigenvalues[k]
-    residuals: tuple[float, ...]    # per pair, against the input matrix
+    residuals: tuple[float, ...]    # per pair, against the Laplacian
 
 
 @dataclass(frozen=True)
@@ -67,46 +68,6 @@ class GroundState:
     double_components: Optional[int]
     double_verdict: Optional[VerificationReport]
     double_error: Optional[str]
-
-
-def laplacian(g: SimplicialGraph) -> list[list[Fraction]]:
-    """Dense rational D - A."""
-    L = [[Fraction(0)] * g.n for _ in range(g.n)]
-    for v in range(g.n):
-        L[v][v] = Fraction(g.degree(v))
-        for u in g.neighbors[v]:
-            L[v][u] = Fraction(-1)
-    return L
-
-
-def eigendecompose(L) -> Spectrum:
-    """Eigenpairs of a dense symmetric matrix, in the canonical basis.
-
-    Raises ConvergenceFailure when eigh fails or an eigenpair residual
-    exceeds 1e-8 * max(1, ||L||_inf).
-    """
-    import numpy as np
-
-    try:
-        A = np.asarray(L, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InputError("matrix must be a square array of numbers") from None
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError("matrix must be square")
-    if not np.array_equal(A, A.T):
-        raise InputError("matrix must be symmetric")
-    try:
-        w, U = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as e:
-        raise ConvergenceFailure(f"eigh failed: {e}") from None
-    eigenvalues = tuple(float(x) for x in w)
-    vectors = _canonical_basis(eigenvalues, U)
-    residuals = tuple(float(x) for x in np.linalg.norm(A @ vectors - vectors * w, axis=0))
-    bound = 1e-8 * max(1.0, float(np.abs(A).sum(axis=1).max(initial=0.0)))
-    worst = max(residuals, default=0.0)
-    if not worst <= bound:
-        raise ConvergenceFailure(f"eigenpair residual {worst:.3e} above bound {bound:.3e}")
-    return Spectrum(eigenvalues, vectors, residuals)
 
 
 _PHI = (sqrt(5) - 1) / 2
@@ -164,14 +125,29 @@ def _canonical_basis(eigenvalues: Sequence[float], U: np.ndarray) -> np.ndarray:
 
 
 def spectrum_of(g: SimplicialGraph) -> Spectrum:
-    """Spectrum of the graph Laplacian D - A."""
+    """Eigenpairs of the graph Laplacian D - A, in the canonical basis.
+
+    Raises ConvergenceFailure when eigh fails or an eigenpair residual
+    exceeds 1e-8 * max(1, ||L||_inf).
+    """
     import numpy as np
 
     L = np.zeros((g.n, g.n))
     for v, nbrs in enumerate(g.neighbors):
         L[v, list(nbrs)] = -1.0
         L[v, v] = len(nbrs)
-    return eigendecompose(L)
+    try:
+        w, U = np.linalg.eigh(L)
+    except np.linalg.LinAlgError as e:
+        raise ConvergenceFailure(f"eigh failed: {e}") from None
+    eigenvalues = tuple(float(x) for x in w)
+    vectors = _canonical_basis(eigenvalues, U)
+    residuals = tuple(float(x) for x in np.linalg.norm(L @ vectors - vectors * w, axis=0))
+    bound = 1e-8 * max(1.0, float(np.abs(L).sum(axis=1).max(initial=0.0)))
+    worst = max(residuals, default=0.0)
+    if not worst <= bound:
+        raise ConvergenceFailure(f"eigenpair residual {worst:.3e} above bound {bound:.3e}")
+    return Spectrum(eigenvalues, vectors, residuals)
 
 
 def signed_components(g: SimplicialGraph, values: Sequence[float]) -> tuple[int, int]:

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from levelgraph import graphdoc
 from levelgraph.cli import _COMMANDS, _OPTIONS, main
+from levelgraph.graphdoc import MAX_VERTICES
 from levelgraph.levelset import level_surface
 from levelgraph.refine import extend_function
 from test_graphdoc import BAD_DOCUMENTS
@@ -67,11 +68,11 @@ def test_budget_counts_one_expansion_per_two_sphere(capsys):
     assert code == 3 and rep["verification"]["verdict"] == "resource_limit"
 
 
-def test_budget_env_var(capsys, monkeypatch):
+def test_budget_comes_from_the_flag_alone(capsys, monkeypatch):
+    # SARD_BUDGET is not read: a report depends on argv and the graph alone
     monkeypatch.setenv("SARD_BUDGET", "0")
     code, rep = run(capsys, "verify", "--graph", "builtin:16-cell")
-    assert code == 3
-    assert rep["verification"]["verdict"] == "resource_limit"
+    assert code == 0 and rep["verification"]["expansions"] == 8
 
 
 def test_missing_file_reports_json_error(capsys):
@@ -87,38 +88,34 @@ OCTAHEDRON_EDGES = [[u, v] for u in range(6) for v in range(u + 1, 6) if u + v !
 MISSING_DIR = "<missing>/x"  # a path under a directory that does not exist
 
 
-@pytest.mark.parametrize("graph, budget_env, argv", [
-    pytest.param("builtin:cycle", None, ("verify",), id="cycle-no-arg"),
-    pytest.param("builtin:wheel(x)", None, ("verify",), id="wheel-non-int"),
-    pytest.param("builtin:cycle(5,6)", None, ("verify",), id="cycle-extra-arg"),
-    pytest.param("builtin:kuhn(4x4,periodc)", None, ("verify",), id="kuhn-bad-flag"),
-    pytest.param({"coordinates": [["a", 0, 0]] * 6}, None, ("verify",), id="coord-non-numeric"),
-    pytest.param({"coordinates": [1, 2, 3, 4, 5, 6]}, None, ("verify",), id="coord-scalar"),
-    pytest.param({"coordinates": [[1, 0, 0]] * 5 + [[0, 1]]}, None, ("verify",),
-                 id="coord-ragged"),
-    pytest.param({"coordinates": [[0, -math.inf, 0]] * 6}, None, ("verify",),
-                 id="coord-infinity"),
-    pytest.param({"coordinates": [[0, 0, True]] * 6}, None, ("verify",), id="coord-bool"),
-    pytest.param({"values": {"f": [1, 2, "1e10000000", 4, 5, 6]}}, None,
+@pytest.mark.parametrize("graph, argv", [
+    pytest.param("builtin:cycle", ("verify",), id="cycle-no-arg"),
+    pytest.param("builtin:wheel(x)", ("verify",), id="wheel-non-int"),
+    pytest.param("builtin:cycle(5,6)", ("verify",), id="cycle-extra-arg"),
+    pytest.param("builtin:kuhn(4x4,periodc)", ("verify",), id="kuhn-bad-flag"),
+    pytest.param({"coordinates": [["a", 0, 0]] * 6}, ("verify",), id="coord-non-numeric"),
+    pytest.param({"coordinates": [1, 2, 3, 4, 5, 6]}, ("verify",), id="coord-scalar"),
+    pytest.param({"coordinates": [[1, 0, 0]] * 5 + [[0, 1]]}, ("verify",), id="coord-ragged"),
+    pytest.param({"coordinates": [[0, -math.inf, 0]] * 6}, ("verify",), id="coord-infinity"),
+    pytest.param({"coordinates": [[0, 0, True]] * 6}, ("verify",), id="coord-bool"),
+    pytest.param({"values": {"f": [1, 2, "1e10000000", 4, 5, 6]}},
                  ("levelset", "--function", "f", "--level", "5/2"), id="value-huge-exponent"),
-    pytest.param("builtin:octahedron", None, ("levelset", "--function", "1,2,3,4,5,6",
-                                              "--level", "1e10000000"),
+    pytest.param("builtin:octahedron", ("levelset", "--function", "1,2,3,4,5,6",
+                                        "--level", "1e10000000"),
                  id="level-huge-exponent"),
-    pytest.param("builtin:octahedron", "abc", ("verify",), id="budget-env-non-int"),
-    pytest.param("builtin:octahedron", "-1", ("verify",), id="budget-env-negative"),
-    pytest.param("builtin:octahedron", None, ("verify", "--budget", "-1"),
-                 id="budget-flag-negative"),
-    pytest.param(None, None, ("verify",), id="graph-is-directory"),
-    pytest.param(b"\xff\xfe{}", None, ("verify",), id="graph-not-utf8"),
-    pytest.param("builtin:octahedron", None, ("refine", "--out", MISSING_DIR),
+    pytest.param("builtin:octahedron", ("verify", "--budget", "-1"), id="budget-flag-negative"),
+    pytest.param({"vertices": MAX_VERTICES + 1}, ("euler",), id="vertices-over-cap"),
+    pytest.param(None, ("verify",), id="graph-is-directory"),
+    pytest.param(b"\xff\xfe{}", ("verify",), id="graph-not-utf8"),
+    pytest.param("builtin:octahedron", ("refine", "--out", MISSING_DIR),
                  id="refine-out-missing-dir"),
-    pytest.param("builtin:octahedron", None, ("export", "--out", MISSING_DIR),
+    pytest.param("builtin:octahedron", ("export", "--out", MISSING_DIR),
                  id="export-out-missing-dir"),
-    pytest.param("builtin:octahedron", None, ("levelset", "--function", "1,2,3,4,5,6",
-                                              "--level", "5/2", "--out", MISSING_DIR),
+    pytest.param("builtin:octahedron", ("levelset", "--function", "1,2,3,4,5,6",
+                                        "--level", "5/2", "--out", MISSING_DIR),
                  id="levelset-out-missing-dir"),
 ])
-def test_malformed_input_exits_4(capsys, monkeypatch, tmp_path, graph, budget_env, argv):
+def test_malformed_input_exits_4(capsys, tmp_path, graph, argv):
     path = tmp_path / "graph.json"
     if graph is None:
         graph = str(tmp_path)
@@ -128,8 +125,6 @@ def test_malformed_input_exits_4(capsys, monkeypatch, tmp_path, graph, budget_en
     elif isinstance(graph, dict):
         path.write_text(json.dumps({"vertices": 6, "edges": OCTAHEDRON_EDGES, **graph}))
         graph = str(path)
-    if budget_env is not None:
-        monkeypatch.setenv("SARD_BUDGET", budget_env)
     rest = [a.replace("<missing>", str(tmp_path / "missing")) for a in argv[1:]]
     code, rep = run(capsys, argv[0], "--graph", graph, *rest)
     assert code == 4
@@ -475,15 +470,10 @@ def test_cli_contract_holds_for_any_argv(tmp_path_factory):
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(argvs(), st.sampled_from([None, None, None, "0", "5", "-1", "abc"]))
-    def check(argv, budget_env):
+    @given(argvs())
+    def check(argv):
         stdout, stderr = io.StringIO(), io.StringIO()
-        with pytest.MonkeyPatch.context() as mp, \
-                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            if budget_env is None:
-                mp.delenv("SARD_BUDGET", raising=False)
-            else:
-                mp.setenv("SARD_BUDGET", budget_env)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = main(argv)
             except SystemExit as e:
@@ -500,8 +490,8 @@ def test_cli_contract_holds_for_any_argv(tmp_path_factory):
 def test_cli_contract_holds_for_any_graph_document(tmp_path_factory):
     """Fuzzed graph documents of at most 8 vertices (wrong types, bad or
     duplicate edges, bools, non-finite floats, zero denominators, long digit
-    strings, huge exponents, ragged or non-finite coordinates, unknown keys)
-    never escape the exit codes 0, 2, 3 and 4, and every one gets one JSON
+    strings, huge exponents, ragged or non-finite coordinates, unknown keys,
+    a vertex count over the cap) never escape the exit codes 0, 2, 3 and 4, and every one gets one JSON
     object on stdout."""
     path = str(tmp_path_factory.mktemp("docs") / "doc.json")
     huge = "9" * 5000  # over the int-digit limit, as a literal or in a string
@@ -516,6 +506,7 @@ def test_cli_contract_holds_for_any_graph_document(tmp_path_factory):
                        st.booleans(), st.floats(allow_nan=True, allow_infinity=True))
     non_finite = st.sampled_from([math.nan, math.inf, -math.inf, "1e10000000"])
     vertex = st.one_of(st.integers(-1, 8), junk)
+    over_cap = st.just(MAX_VERTICES + 1)  # loaded, it would allocate that many sets
     edge = st.one_of(st.lists(vertex, min_size=2, max_size=2),
                      st.lists(st.integers(0, 7), min_size=0, max_size=3), junk)
 
@@ -529,7 +520,7 @@ def test_cli_contract_holds_for_any_graph_document(tmp_path_factory):
                           unique=True, max_size=12)
         loose = st.lists(st.lists(st.integers(0, max(n - 1, 0)), min_size=2, max_size=2),
                          max_size=12)  # self-loops and duplicates
-        doc = {"vertices": draw(mostly(st.just(n), st.one_of(labels, vertex))),
+        doc = {"vertices": draw(mostly(st.just(n), st.one_of(labels, vertex, over_cap))),
                "edges": draw(mostly(simple.map(lambda es: [list(e) for e in es] if n > 1 else []),
                                     st.one_of(loose, st.lists(edge, max_size=4), junk)))}
         if draw(st.booleans()):

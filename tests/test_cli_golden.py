@@ -133,8 +133,7 @@ def test_cases_cover_the_golden_file(golden):
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_report_matches_golden(golden, name, tmp_path, monkeypatch):
-    monkeypatch.delenv("SARD_BUDGET", raising=False)
+def test_report_matches_golden(golden, name, tmp_path):
     want = golden[name]
     got = run_case(want["argv"], str(tmp_path))
     assert got["exit"] == want["exit"]
@@ -145,7 +144,6 @@ def test_report_matches_golden(golden, name, tmp_path, monkeypatch):
 def _regenerate():
     os.makedirs(DATA, exist_ok=True)
     graphdoc.save(golden_document(), DOC)
-    os.environ.pop("SARD_BUDGET", None)
     out = {}
     for name, argv in CASES.items():
         with tempfile.TemporaryDirectory() as work:

@@ -1,12 +1,15 @@
 """JSON graph documents: exact rationals, diagnostics, canonical output."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from levelgraph import graphdoc
 from levelgraph.catalog import octahedron
 from levelgraph.errors import InputError
-from levelgraph.graphdoc import FORMAT_VERSION, GraphDocument, dumps, load, loads, save
+from levelgraph.graphdoc import (FORMAT_VERSION, MAX_VERTICES, GraphDocument, dumps, load,
+                                 loads, save)
 from levelgraph.levelset import level_surface
 from levelgraph.rational import MAX_EXPONENT, as_fraction
 
@@ -93,6 +96,16 @@ def test_decimal_exponents_are_capped():
             as_fraction(text)
     with pytest.raises(InputError, match=r"values\['f'\]\[1\]: exponent"):
         loads('{"vertices": 2, "edges": [[0, 1]], "values": {"f": [1, "1e10000000"]}}')
+
+
+def test_vertex_count_is_capped_before_the_graph_is_built(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("SimplicialGraph built for a document over the cap")
+
+    monkeypatch.setattr(graphdoc, "SimplicialGraph", unreachable)
+    for vertices in (MAX_VERTICES + 1, [0] * (MAX_VERTICES + 1)):
+        with pytest.raises(InputError, match=f"cap of {MAX_VERTICES}"):
+            loads(json.dumps({"vertices": vertices, "edges": []}))
 
 
 def test_bad_edge_reports_index():

@@ -13,6 +13,7 @@ from levelgraph.core import SimplicialGraph
 from levelgraph.errors import MissingCoordinates
 from levelgraph.levelset import level_surface
 from levelgraph.meshio import export_mesh, to_obj, to_off
+from levelgraph.refine import barycentric
 
 
 def read_off(text):
@@ -49,6 +50,12 @@ def test_level_surface_off():
     verts, faces, _ = read_off(to_off(surf))
     assert len(verts) == surf.graph.n
     assert faces == []  # a curve has no triangles
+
+
+def test_refinement_exports_its_graph():
+    refined = barycentric(octahedron())
+    assert to_off(refined) == to_off(refined.graph)
+    assert to_obj(refined) == to_obj(refined.graph)
 
 
 def test_obj_surface():
