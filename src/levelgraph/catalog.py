@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import re
@@ -11,6 +12,12 @@ from typing import Optional, Sequence
 
 from .core import SimplicialGraph, join
 from .errors import InputError
+from .graphdoc import MAX_VERTICES
+
+# builtin: specs are capped before anything is built; this is about twenty times
+# the largest graph a test or the benchmark builds (a 4-D variety surface of
+# about 50,000 edges)
+MAX_EDGES = 10 ** 6
 
 
 def cycle(n: int) -> SimplicialGraph:
@@ -146,9 +153,10 @@ def random_sphere(seed: int, refinements: int) -> SimplicialGraph:
     base = icosahedron()
     nbrs = [set(s) for s in base.neighbors]
     coords = [list(p) for p in base.coordinates]
+    # the sorted edge list, kept in place: every new edge (u, x) has the newest id x
+    edge_list = base.edges()
     for _ in range(refinements):
-        edge_list = [(u, v) for u in range(len(nbrs)) for v in sorted(nbrs[u]) if u < v]
-        a, b = edge_list[rng.randrange(len(edge_list))]
+        a, b = edge_list.pop(rng.randrange(len(edge_list)))
         common = sorted(nbrs[a] & nbrs[b])
         if len(common) != 2:
             raise InputError("edge split applies to 2-graphs only")
@@ -159,12 +167,12 @@ def random_sphere(seed: int, refinements: int) -> SimplicialGraph:
         for u in (a, b, *common):
             nbrs[x].add(u)
             nbrs[u].add(x)
+            bisect.insort(edge_list, (u, x))
         mid = [(coords[a][k] + coords[b][k]) / 2.0 for k in range(3)]
         norm = math.sqrt(sum(c * c for c in mid)) or 1.0
         scale = math.sqrt(sum(c * c for c in coords[a])) / norm
         coords.append([c * scale for c in mid])
-    edges = [(u, v) for u in range(len(nbrs)) for v in sorted(nbrs[u]) if u < v]
-    return SimplicialGraph(len(nbrs), edges, coordinates=[tuple(p) for p in coords])
+    return SimplicialGraph(len(nbrs), edge_list, coordinates=[tuple(p) for p in coords])
 
 
 # -- name based dispatch (used by the command line driver) ------------------
@@ -193,6 +201,14 @@ def build(spec: str) -> SimplicialGraph:
         except ValueError:
             raise InputError(f"{name}: arguments must be integers, got {raw_args!r}") from None
 
+    def capped(vertices, edges, builder, *builder_args):
+        # the counts come from the arguments, so an oversized spec builds nothing
+        if vertices > MAX_VERTICES:
+            raise InputError(f"{name}: over the cap of {MAX_VERTICES} vertices")
+        if edges > MAX_EDGES:
+            raise InputError(f"{name}: over the cap of {MAX_EDGES} edges")
+        return builder(*builder_args)
+
     if name == "octahedron":
         return octahedron()
     if name in ("16-cell", "sixteen_cell"):
@@ -200,11 +216,14 @@ def build(spec: str) -> SimplicialGraph:
     if name == "icosahedron":
         return icosahedron()
     if name == "cycle":
-        return cycle(*ints(1))
+        (n,) = ints(1)
+        return capped(n, n, cycle, n)
     if name == "wheel":
-        return wheel(*ints(1))
+        (n,) = ints(1)
+        return capped(n, 2 * n, wheel, n)
     if name in ("cross_polytope", "cross-polytope"):
-        return cross_polytope(*ints(1))
+        (d,) = ints(1)
+        return capped(2 * d + 2, 2 * d * (d + 1), cross_polytope, d)
     if name == "kuhn":
         if not args or args[1:] not in ([], ["periodic"]):
             raise InputError(f"expected kuhn(<n>x<n>...[,periodic]), got {spec!r}")
@@ -213,9 +232,20 @@ def build(spec: str) -> SimplicialGraph:
         except ValueError:
             raise InputError(f"kuhn axis sizes must be integers, got {args[0]!r}") from None
         periodic = len(args) == 2
-        return kuhn_grid(len(dims), dims, periodic=periodic)
+        vertices = 1
+        for size in (dims if periodic else (c + 1 for c in dims)):
+            vertices *= size
+            if abs(vertices) > MAX_VERTICES:  # stop before a long spec makes a huge product
+                break
+        # each lattice point starts at most 2^d - 1 edges
+        return capped(vertices, vertices * (2 ** len(dims) - 1), kuhn_grid, len(dims), dims,
+                      periodic)
     if name == "random_sphere":
-        return random_sphere(*ints(2))
+        seed, refinements = ints(2)
+        # each split adds one vertex and three edges to the icosahedron's 12 and 30
+        return capped(12 + refinements, 30 + 3 * refinements, random_sphere, seed, refinements)
     if name == "random_3_sphere":
-        return suspension(random_sphere(*ints(2)))
+        seed, refinements = ints(2)
+        return suspension(capped(14 + refinements, 54 + 5 * refinements,
+                                 random_sphere, seed, refinements))
     raise InputError(f"unknown catalog graph {name!r}")

@@ -36,6 +36,17 @@ non-adjacent points and a 1-sphere a cycle of length >= 4, decided without
 an expansion.  A connected graph whose unit spheres are all circles is a
 closed surface, and by their classification a 2-sphere iff chi = V - E/3
 = 2: one expansion and no memo entry.
+
+When every S(x) of a graph must be a 2-sphere (is_dgraph(., 3), and the
+unit sphere check of every 3-sphere, also inside a 4-sphere), the rule
+runs as one pass over the vertices in increasing order, so each edge link
+S(x) & S(y) is walked once, on the turn of the lesser end.  Its size adds
+to a sum for both ends, and when x's turn comes the sum is complete and
+equals 2 E(S(x)).  x is the witness if S(x) is empty or disconnected (no
+expansion); otherwise one expansion is spent, and x is the witness if a
+link at x walked on its turn is not a circle of length >= 4 (those walked
+earlier were circles, or the pass would have stopped) or if |S(x)| - sum/6
+!= 2.  The pass stops at the least such x and stores one int per vertex.
 """
 
 from __future__ import annotations
@@ -116,7 +127,15 @@ def _reach(base, active, start) -> set:
 
 
 def _connected(base, active) -> bool:
-    return not active or len(_reach(base, active, next(iter(active)))) == len(active)
+    """Whether the induced subgraph on active is connected; the search stops
+    as soon as it has reached every vertex."""
+    unseen = set(active)
+    stack = [unseen.pop()] if unseen else []
+    while stack and unseen:
+        new = unseen & base.neighbors[stack.pop()]
+        unseen -= new
+        stack.extend(new)
+    return not unseen
 
 
 def components(g: SimplicialGraph) -> list[tuple[int, ...]]:
@@ -265,9 +284,27 @@ def _sphere(base, active, d, budget):
 
 
 def _bad_link(base, active, d, budget) -> Optional[int]:
-    """The least vertex whose unit sphere is not a (d-1)-sphere, or None."""
+    """The least vertex whose unit sphere is not a (d-1)-sphere, or None;
+    for d = 3 by the one pass over edge links of the module docstring."""
+    if d != 3:
+        for x in sorted(active):
+            if _sphere(base, base.neighbors[x] & active, d - 1, budget) is not None:
+                return x
+        return None
+    twice_edges = dict.fromkeys(active, 0)  # sum of |link(xy)|: 2 E(S(x)) on x's turn
     for x in sorted(active):
-        if _sphere(base, base.neighbors[x] & active, d - 1, budget) is not None:
+        sphere = base.neighbors[x] & active
+        if not sphere or not _connected(base, sphere):
+            return x
+        budget.spend()
+        for y in sphere:
+            if y > x:
+                link = sphere & base.neighbors[y]
+                if len(link) < 4 or not _circle(base, link):
+                    return x
+                twice_edges[x] += len(link)
+                twice_edges[y] += len(link)
+        if len(sphere) - twice_edges[x] // 6 != 2:
             return x
     return None
 

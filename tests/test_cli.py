@@ -105,6 +105,10 @@ MISSING_DIR = "<missing>/x"  # a path under a directory that does not exist
                  id="level-huge-exponent"),
     pytest.param("builtin:octahedron", ("verify", "--budget", "-1"), id="budget-flag-negative"),
     pytest.param({"vertices": MAX_VERTICES + 1}, ("euler",), id="vertices-over-cap"),
+    pytest.param("builtin:cross_polytope(3000)", ("euler",), id="builtin-over-edge-cap"),
+    pytest.param("builtin:random_sphere(1,100000)", ("euler",), id="builtin-random-over-cap"),
+    pytest.param("builtin:kuhn(1000x1000)", ("euler",), id="builtin-kuhn-over-cap"),
+    pytest.param(f"builtin:cycle({MAX_VERTICES + 1})", ("euler",), id="builtin-cycle-over-cap"),
     pytest.param(None, ("verify",), id="graph-is-directory"),
     pytest.param(b"\xff\xfe{}", ("verify",), id="graph-not-utf8"),
     pytest.param("builtin:octahedron", ("refine", "--out", MISSING_DIR),

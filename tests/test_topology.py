@@ -9,6 +9,8 @@ Validates:
     - the Euler characteristic entry check and the 2-sphere rule agree with
       a definitional oracle; tori and annuli are rejected without a search
     - one expansion per decided 2-sphere
+    - the d = 3 pass that walks each edge link once keeps every verdict,
+      witness and expansion count, and every budget threshold
     - a verdict depends only on the graph, the dimension and the budget, not
       on earlier calls
     - only is_sphere for d >= 2, is_dgraph for d >= 3 and is_contractible
@@ -324,6 +326,40 @@ def test_one_expansion_per_two_sphere():
     assert is_dgraph(sixteen_cell(), 3).expansions == 8
     assert is_sphere(sixteen_cell(), 3).expansions == 9
     assert is_dgraph(sixteen_cell(), 3, budget=7).verdict == "resource_limit"
+
+
+def sixteen_cells_at_a_point(glued):
+    """Two 16-cells sharing one vertex, numbered glued: its unit sphere is two
+    disjoint octahedra, and every other unit sphere is an octahedron."""
+    edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if u + v != 7]
+    second = {0: 0, **{v: 7 + v for v in range(1, 8)}}
+    edges += [(second[u], second[v]) for u, v in edges]
+    swap = {0: glued, glued: 0}
+    return SimplicialGraph(15, [(swap.get(u, u), swap.get(v, v)) for u, v in edges])
+
+
+def test_three_dimensional_link_pass_keeps_every_report():
+    # the verdicts, witnesses and expansions of one 2-sphere decision per
+    # unit sphere; the d = 4 cases decide S(x) as 3-spheres inside a subset
+    cases = [
+        (is_dgraph, kuhn_grid(3, (4, 4, 4), periodic=True), 3, "yes", None, 64),
+        (is_dgraph, barycentric(sixteen_cell()).graph, 3, "yes", None, 80),
+        (is_dgraph, suspension(kuhn_grid(2, (4, 4), periodic=True)), 3, "no", 0, 1),
+        (is_dgraph, cross_polytope(4), 3, "no", 0, 1),  # edge links are 2-spheres
+        (is_dgraph, SimplicialGraph(5, combinations(range(5), 2)), 3, "no", 0, 1),  # triangles
+        (is_dgraph, sixteen_cells_at_a_point(0), 3, "no", 0, 0),
+        (is_dgraph, sixteen_cells_at_a_point(14), 3, "no", 14, 14),
+        (is_sphere, suspension(random_sphere(3, 100)), 3, "yes", None, 531),
+        (is_sphere, cross_polytope(4), 4, "yes", None, 46),
+        (is_dgraph, suspension(suspension(icosahedron())), 4, "yes", None, 174),
+    ]
+    for check, g, d, verdict, witness, expansions in cases:
+        case = (check.__name__, g.n, d)
+        r = check(g, d)
+        assert (r.verdict, r.witness, r.expansions) == (verdict, witness, expansions), case
+        assert vars(check(g, d, budget=expansions)) == vars(r), case
+        if expansions:
+            assert check(g, d, budget=expansions - 1).verdict == "resource_limit", case
 
 
 def test_torus_not_a_sphere_without_search():
