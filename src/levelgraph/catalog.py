@@ -96,6 +96,26 @@ def icosahedron() -> SimplicialGraph:
     return SimplicialGraph(12, edges, coordinates=coords)
 
 
+def _check_size(name: str, vertices: int, edges: int) -> None:
+    """Raise an InputError naming the cap a graph of this size would exceed."""
+    if vertices > MAX_VERTICES:
+        raise InputError(f"{name}: over the cap of {MAX_VERTICES} vertices")
+    if edges > MAX_EDGES:
+        raise InputError(f"{name}: over the cap of {MAX_EDGES} edges")
+
+
+def check_kuhn_size(name: str, cells: Sequence[int], periodic: bool) -> None:
+    """_check_size for kuhn_grid(len(cells), cells, periodic), from its
+    arguments alone, so an oversized grid is rejected before it is built."""
+    vertices = 1
+    for size in (cells if periodic else (c + 1 for c in cells)):
+        vertices *= size
+        if abs(vertices) > MAX_VERTICES:  # stop before a long spec makes a huge product
+            break
+    # each lattice point starts at most 2^d - 1 edges
+    _check_size(name, vertices, vertices * (2 ** len(cells) - 1))
+
+
 def kuhn_grid(d: int, cells: Sequence[int], periodic: bool = False,
               origin: Optional[Sequence[Fraction]] = None,
               step: Optional[Fraction] = None) -> SimplicialGraph:
@@ -203,10 +223,7 @@ def build(spec: str) -> SimplicialGraph:
 
     def capped(vertices, edges, builder, *builder_args):
         # the counts come from the arguments, so an oversized spec builds nothing
-        if vertices > MAX_VERTICES:
-            raise InputError(f"{name}: over the cap of {MAX_VERTICES} vertices")
-        if edges > MAX_EDGES:
-            raise InputError(f"{name}: over the cap of {MAX_EDGES} edges")
+        _check_size(name, vertices, edges)
         return builder(*builder_args)
 
     if name == "octahedron":
@@ -232,14 +249,8 @@ def build(spec: str) -> SimplicialGraph:
         except ValueError:
             raise InputError(f"kuhn axis sizes must be integers, got {args[0]!r}") from None
         periodic = len(args) == 2
-        vertices = 1
-        for size in (dims if periodic else (c + 1 for c in dims)):
-            vertices *= size
-            if abs(vertices) > MAX_VERTICES:  # stop before a long spec makes a huge product
-                break
-        # each lattice point starts at most 2^d - 1 edges
-        return capped(vertices, vertices * (2 ** len(dims) - 1), kuhn_grid, len(dims), dims,
-                      periodic)
+        check_kuhn_size(name, dims, periodic)
+        return kuhn_grid(len(dims), dims, periodic)
     if name == "random_sphere":
         seed, refinements = ints(2)
         # each split adds one vertex and three edges to the icosahedron's 12 and 30

@@ -121,9 +121,10 @@ def surface_triangles(s) -> SurfaceTriangles:
     """Triangles of a 2-graph with a best-effort consistent orientation.
 
     Accepts a level surface or a plain graph; raises NotASurface unless the
-    graph passes 2-graph verification.  In a 2-graph every edge lies in
-    exactly two triangles, so orientations propagate across shared edges;
-    a parity obstruction flips the orientable flag instead of failing.
+    graph passes 2-graph verification.  The link N(a) & N(b) of an edge ab of
+    a 2-graph is two vertices, so (a, b, c) crosses ab as (b, a, w), w the
+    other one.  It is orientable iff no directed edge is used twice; a parity
+    obstruction clears the flag instead of failing.
     """
     graph = s.graph if hasattr(s, "graph") else s
     report = is_dgraph(graph, 2)
@@ -131,34 +132,23 @@ def surface_triangles(s) -> SurfaceTriangles:
         raise NotASurface(f"2-graph verification said {report.verdict} "
                           f"(witness {report.witness!r})")
     groups = graph.simplices()
-    tris = list(groups[2]) if len(groups) > 2 else []
-    by_edge = {}
-    for i, t in enumerate(tris):
-        for e in combinations(t, 2):
-            by_edge.setdefault(e, []).append(i)
-    oriented: dict[int, tuple[int, int, int]] = {}
-    orientable = True
-    for seed in range(len(tris)):
+    tris = groups[2] if len(groups) > 2 else ()
+    nbrs = graph.neighbors
+    oriented: dict[Simplex, tuple[int, int, int]] = {}
+    for seed in tris:
         if seed in oriented:
             continue
-        oriented[seed] = tris[seed]
+        oriented[seed] = seed
         stack = [seed]
         while stack:
-            i = stack.pop()
-            x, y, z = oriented[i]
-            for a, b in ((x, y), (y, z), (z, x)):
-                for j in by_edge[tuple(sorted((a, b)))]:
-                    if j == i:
-                        continue
-                    w = next(v for v in tris[j] if v not in (a, b))
-                    want = (b, a, w)  # opposite direction along the shared edge
-                    if j not in oriented:
-                        oriented[j] = want
-                        stack.append(j)
-                    else:
-                        have = oriented[j]
-                        cyc = {have, (have[1], have[2], have[0]), (have[2], have[0], have[1])}
-                        # cyc is closed under rotation, so this covers every rotation of want
-                        if want not in cyc:
-                            orientable = False
-    return SurfaceTriangles(tuple(oriented[i] for i in range(len(tris))), orientable)
+            x, y, z = oriented[stack.pop()]
+            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                (w,) = (nbrs[a] & nbrs[b]) - {c}
+                across = tuple(sorted((a, b, w)))
+                if across not in oriented:
+                    oriented[across] = (b, a, w)  # opposite direction along ab
+                    stack.append(across)
+    triangles = tuple(oriented[t] for t in tris)
+    del oriented  # freed first, so the dict and the directed edge set are not held at once
+    directed = {e for x, y, z in triangles for e in ((x, y), (y, z), (z, x))}
+    return SurfaceTriangles(triangles, len(directed) == 3 * len(tris))

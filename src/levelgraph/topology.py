@@ -32,10 +32,12 @@ A "no" names the first check that fails, cheapest first:
 Shortcuts that rest on theorems prune the search without changing it.
 Cones are contractible.  G-x needs no connectivity check once S(x) is
 contractible, hence nonempty and connected.  A 0-sphere is two
-non-adjacent points and a 1-sphere a cycle of length >= 4, decided without
-an expansion.  A connected graph whose unit spheres are all circles is a
-closed surface, and by their classification a 2-sphere iff chi = V - E/3
-= 2: one expansion and no memo entry.
+non-adjacent points and a 1-sphere a cycle of length >= 4 (_circle checks
+the length too), decided without an expansion.  A connected graph whose
+unit spheres are all circles is a closed surface, a 2-sphere iff chi =
+V - E/3 = 2 by their classification, and check 3 has required that: one
+expansion, check 4 and no peel or memo entry.  Only whole graphs reach
+this rule; the pass below decides the 2-sphere unit spheres of 3-graphs.
 
 When every S(x) of a graph must be a 2-sphere (is_dgraph(., 3), and the
 unit sphere check of every 3-sphere, also inside a 4-sphere), the rule
@@ -152,7 +154,9 @@ def components(g: SimplicialGraph) -> list[tuple[int, ...]]:
 
 
 def _circle(base, active) -> bool:
-    """Whether the nonempty induced subgraph is one cycle through all of it."""
+    """Whether the induced subgraph is one cycle of length >= 4 through all of it."""
+    if len(active) < 4:
+        return False
     start = next(iter(active))
     prev, v = None, start
     for step in range(1, len(active) + 1):
@@ -251,7 +255,7 @@ def _sphere(base, active, d, budget):
         a, b = active
         if b not in base.neighbors[a]:
             return None
-    elif d == 1 and n >= 4 and _circle(base, active):
+    elif d == 1 and _circle(base, active):
         return None
     if d >= 1 and not _connected(base, active):
         return "graph is disconnected"
@@ -259,23 +263,13 @@ def _sphere(base, active, d, budget):
         chi, sphere_chi = euler_characteristic(base), 1 + (-1) ** d
         if chi != sphere_chi:
             return f"Euler characteristic {chi}, a {d}-sphere has {sphere_chi}"
-    if d == 2:  # a connected closed surface is a 2-sphere iff chi = 2
-        budget.spend()
-        twice_edges = 0
-        for v in active:
-            link = base.neighbors[v] & active
-            if _sphere(base, link, 1, budget) is not None:
-                break
-            twice_edges += len(link)
-        else:
-            if n - twice_edges // 6 == 2:
-                return None
-    elif d >= 3:
-        if (active, d) in budget.memo:
-            return budget.memo[active, d]
+    if d >= 3 and (active, d) in budget.memo:
+        return budget.memo[active, d]
+    if d >= 2:
         budget.spend()
     witness = _bad_link(base, active, d, budget)
-    if witness is None and (d < 3 or not _peel(
+    # only whole graphs reach d = 2, so a closed surface here has passed chi = 2
+    if witness is None and d != 2 and (d < 2 or not _peel(
             base, (active - {x} for x in _order(base, active)), budget)):
         witness = "no vertex deletion leaves a contractible graph"
     if d >= 3:
@@ -300,7 +294,7 @@ def _bad_link(base, active, d, budget) -> Optional[int]:
         for y in sphere:
             if y > x:
                 link = sphere & base.neighbors[y]
-                if len(link) < 4 or not _circle(base, link):
+                if not _circle(base, link):
                     return x
                 twice_edges[x] += len(link)
                 twice_edges[y] += len(link)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .catalog import kuhn_grid
+from .catalog import check_kuhn_size, kuhn_grid
 from .errors import InputError, UnparsablePolynomial
 from .rational import as_fraction
 from .sard import SardTrace, sard_pipeline
@@ -107,8 +107,9 @@ def triangulate_variety(polys: Sequence[Union[str, Polynomial]],
     """Triangulate the common zero set of polynomials over a box.
 
     domain is a list of (lo, hi) pairs, one per variable; step must divide
-    every edge exactly.  Each level surface inherits interpolated float
-    coordinates from the grid, so the trace is mesh-ready.
+    every edge exactly.  The grid is capped as catalog.build caps a kuhn
+    spec, before it is built.  Each level surface inherits interpolated
+    float coordinates from the grid, so the trace is mesh-ready.
     """
     d = len(domain)
     if d < 1:
@@ -129,6 +130,7 @@ def triangulate_variety(polys: Sequence[Union[str, Polynomial]],
     if any(p.nvars != d for p in parsed):
         raise InputError("polynomial variable count does not match domain")
 
+    check_kuhn_size("variety grid", cells, periodic)
     grid = kuhn_grid(d, cells, periodic=periodic,
                      origin=[lo for lo, _ in box], step=step)
     points = [tuple(box[j][0] + idx[j] * step for j in range(d))

@@ -349,6 +349,14 @@ def test_variety_rejects_bad_polynomial(capsys):
     assert rep["error"]["type"] == "UnparsablePolynomial"
 
 
+def test_variety_grid_over_the_cap_exits_4(capsys):
+    # 2,000,001^2 lattice points: rejected from the axis sizes, before any grid exists
+    code, rep = run(capsys, "variety", "--poly", "x^2+y^2-1",
+                    "--domain", "-1000,1000;-1000,1000", "--step", "1/1000")
+    assert code == 4 and rep["error"]["type"] == "InputError"
+    assert "variety grid: over the cap" in rep["error"]["message"]
+
+
 def test_export_off_file(capsys, tmp_path):
     out = str(tmp_path / "oct.off")
     code, rep = run(capsys, "export", "--graph", "builtin:octahedron",

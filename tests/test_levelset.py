@@ -6,17 +6,21 @@ Validates:
     - LevelHitsVertex and constraint-count errors
     - simultaneous locus on the 16-cell: regular pair gives a circle
     - oriented triangle extraction and interpolated coordinates
+    - the orienter gives the triangles and orientable flag of an orienter
+      that indexes every edge's triangles
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from levelgraph.catalog import (cross_polytope, icosahedron, kuhn_grid, octahedron,
-                                sixteen_cell, wheel)
+                                random_sphere, sixteen_cell, wheel)
 from levelgraph.errors import DimensionExceeded, LevelHitsVertex, MissingCoordinates, NotASurface
 from levelgraph.levelset import (interpolate_coordinates, level_surface,
                                  simultaneous_locus, surface_triangles)
+from levelgraph.refine import barycentric
 from levelgraph.topology import components, is_dgraph, is_sphere
 
 from test_topology import flag_rp2
@@ -178,3 +182,58 @@ def test_projective_plane_is_not_orientable():
     tri = surface_triangles(flag_rp2())
     assert len(tri.triangles) == 60
     assert tri.orientable is False
+
+
+def _orient_by_edge_index(graph):
+    """(triangles, orientable) from an edge -> triangles index, with a
+    rotation test on every revisit: the orienter surface_triangles replaced."""
+    groups = graph.simplices()
+    tris = list(groups[2]) if len(groups) > 2 else []
+    by_edge = {}
+    for i, t in enumerate(tris):
+        for e in combinations(t, 2):
+            by_edge.setdefault(e, []).append(i)
+    oriented = {}
+    orientable = True
+    for seed in range(len(tris)):
+        if seed in oriented:
+            continue
+        oriented[seed] = tris[seed]
+        stack = [seed]
+        while stack:
+            i = stack.pop()
+            x, y, z = oriented[i]
+            for a, b in ((x, y), (y, z), (z, x)):
+                for j in by_edge[tuple(sorted((a, b)))]:
+                    if j == i:
+                        continue
+                    w = next(v for v in tris[j] if v not in (a, b))
+                    want = (b, a, w)
+                    if j not in oriented:
+                        oriented[j] = want
+                        stack.append(j)
+                    else:
+                        have = oriented[j]
+                        if want not in {have, (have[1], have[2], have[0]),
+                                        (have[2], have[0], have[1])}:
+                            orientable = False
+    return tuple(oriented[i] for i in range(len(tris))), orientable
+
+
+SURFACES = {
+    "octahedron": octahedron,
+    "icosahedron": icosahedron,
+    "flag_rp2": flag_rp2,
+    "torus 4x4": lambda: kuhn_grid(2, (4, 4), periodic=True),
+    "torus 5x7": lambda: kuhn_grid(2, (5, 7), periodic=True),
+    **{f"random_sphere({s}, {10 * s})": (lambda s=s: random_sphere(s, 10 * s)) for s in range(20)},
+    "barycentric^2(octahedron)": lambda: barycentric(barycentric(octahedron()).graph).graph,
+}
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_orienter_matches_the_edge_index_orienter(name):
+    graph = SURFACES[name]()
+    st = surface_triangles(graph)
+    assert (st.triangles, st.orientable) == _orient_by_edge_index(graph)
+    assert st.orientable == (name != "flag_rp2")

@@ -6,6 +6,7 @@ Validates:
     - circle and sphere triangulations verifying as 1- and 2-graphs
     - the singular cross x*y = 0 failing regularity with a witness
     - domain validation and step divisibility
+    - the grid's vertex count and edge bound are capped before it is built
 """
 
 import ast
@@ -15,7 +16,10 @@ from fractions import Fraction
 
 import pytest
 
+from levelgraph import variety
+from levelgraph.catalog import MAX_EDGES
 from levelgraph.errors import InputError, UnparsablePolynomial
+from levelgraph.graphdoc import MAX_VERTICES
 from levelgraph.topology import components, is_dgraph
 from levelgraph.sard import EPSILON
 from levelgraph.variety import parse_polynomial, triangulate_variety
@@ -188,3 +192,42 @@ def test_domain_validation():
         triangulate_variety(["x^2 - 1"], [(1, -1)], Fraction(1, 2))
     with pytest.raises(InputError):
         triangulate_variety(["x + y"], [(0, 1)], Fraction(1, 2))  # nvars mismatch
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.fixture
+def grids(monkeypatch):
+    """The axis sizes each kuhn_grid call asked for; nothing is built."""
+    calls = []
+
+    def record(d, cells, **kwargs):
+        calls.append(tuple(cells))
+        raise _Built
+
+    monkeypatch.setattr(variety, "kuhn_grid", record)
+    return calls
+
+
+@pytest.mark.parametrize("domain, step, periodic, cap", [
+    ([(0, 99), (0, 999)], 1, False, None),  # 100 x 1000 lattice points
+    ([(0, 99), (0, 1000)], 1, False, "vertices"),
+    ([(0, Fraction(99, 2)), (0, Fraction(999, 2))], Fraction(1, 2), False, None),
+    ([(-1000, 1000), (-1000, 1000)], Fraction(1, 1000), False, "vertices"),
+    ([(0, 15)] * 4, 1, False, None),  # 16^4 points, each starting at most 15 edges
+    ([(0, 16)] * 4, 1, False, "edges"),
+    ([(0, 10)] * 4, 1, True, None),
+    ([(0, 4)] * 8, 1, True, "edges"),  # 4^8 points, each starting at most 255 edges
+])
+def test_grid_is_capped_before_it_is_built(grids, domain, step, periodic, cap):
+    if cap is None:
+        with pytest.raises(_Built):
+            triangulate_variety(["x - 1/3"], domain, step, periodic)
+        assert len(grids) == 1
+    else:
+        limit = MAX_VERTICES if cap == "vertices" else MAX_EDGES
+        with pytest.raises(InputError, match=f"variety grid: over the cap of {limit} {cap}"):
+            triangulate_variety(["x - 1/3"], domain, step, periodic)
+        assert grids == []
