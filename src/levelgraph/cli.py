@@ -85,11 +85,12 @@ def _function_values(doc: graphdoc.GraphDocument, name: str) -> list[Fraction]:
 
 
 def _graph_block(g: SimplicialGraph) -> dict:
+    f_vector = g.f_vector()
     return {
         "n": g.n,
         "edges": g.edge_count(),
-        "dimension": g.dimension(),
-        "f_vector": list(g.f_vector()),
+        "dimension": len(f_vector) - 1,
+        "f_vector": list(f_vector),
         "euler_characteristic": euler_characteristic(g),
     }
 

@@ -3,11 +3,16 @@
 A graph lives on dense vertex ids 0..n-1 and is treated as immutable after
 construction.  Simplices are the vertex sets of complete subgraphs, stored
 as strictly increasing tuples and grouped by dimension; the k-th entry of
-the f-vector counts the k-dimensional simplices.
+the f-vector counts the k-dimensional simplices.  One enumerator,
+cliques(verts), lists the simplices inside a vertex set; the whole complex
+is its result on every vertex, cached on the graph.  The dimension needs
+only the largest clique, so it is found by a search that builds no complex
+when none is cached.
 """
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -30,7 +35,7 @@ class SimplicialGraph:
         plotting; never consulted by combinatorial code.
     """
 
-    __slots__ = ("n", "neighbors", "labels", "coordinates", "_simplices")
+    __slots__ = ("n", "neighbors", "labels", "coordinates", "_simplices", "_dimension")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: Optional[Sequence] = None,
@@ -58,6 +63,7 @@ class SimplicialGraph:
                 raise InputError("coordinates length must equal vertex count")
         self.coordinates = coordinates
         self._simplices = None
+        self._dimension = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -98,17 +104,27 @@ class SimplicialGraph:
 
     # -- clique complex --------------------------------------------------
 
-    def simplices(self) -> tuple[tuple[Simplex, ...], ...]:
-        """All simplices grouped by dimension, each group in lexicographic order.
+    def cliques(self, verts: Iterable[int]) -> tuple[tuple[Simplex, ...], ...]:
+        """The simplices with every vertex in verts, grouped as simplices() groups them.
 
-        The complex is enumerated once and cached.
+        Groups run from dimension 0 to the largest clique inside verts, each
+        in lexicographic order, so the result is simplices() with every
+        simplex that leaves verts dropped.  When the whole complex is cached
+        it is filtered; otherwise only the cliques of verts are enumerated,
+        and when verts holds every vertex they are the complex and are cached.
         """
         if self._simplices is not None:
-            return self._simplices
+            keep = set(verts)
+            groups = (tuple(s for s in group if keep.issuperset(s)) for group in self._simplices)
+            # the faces of a clique are cliques, so no group follows an empty one
+            return tuple(takewhile(len, groups))
+        inside = bytearray(self.n)
+        for v in verts:
+            inside[v] = 1
         groups = []
         # each entry pairs a simplex with the candidate vertices able to extend it
-        level = [((v,), sorted(u for u in self.neighbors[v] if u > v))
-                 for v in range(self.n)]
+        level = [((v,), sorted(u for u in self.neighbors[v] if u > v and inside[u]))
+                 for v in range(self.n) if inside[v]]
         while level:
             groups.append(tuple(s for s, _ in level))
             nxt = []
@@ -118,15 +134,55 @@ class SimplicialGraph:
                     ncand = [u for u in cand[i + 1:] if u in nv]
                     nxt.append((s + (v,), ncand))
             level = nxt
-        self._simplices = tuple(groups)
-        return self._simplices
+        groups = tuple(groups)
+        if 0 not in inside:  # the cliques of every vertex are the whole complex
+            self._simplices = groups
+        return groups
+
+    def simplices(self) -> tuple[tuple[Simplex, ...], ...]:
+        """All simplices grouped by dimension, each group in lexicographic order.
+
+        The complex is the cliques of every vertex, enumerated once and cached.
+        """
+        return self._simplices if self._simplices is not None else self.cliques(range(self.n))
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.simplices())
 
     def dimension(self) -> int:
-        """Largest simplex dimension; -1 for the empty graph."""
-        return len(self.f_vector()) - 1
+        """Largest simplex dimension; -1 for the empty graph.
+
+        Read from the cached complex when there is one.  Otherwise a
+        depth-first search for the largest clique finds it without building
+        the complex: a clique grows by its candidates (the common neighbours
+        above its last vertex, in increasing order), and a branch is dropped
+        once its size plus its remaining candidates cannot beat the largest
+        clique found so far (Carraghan and Pardalos, Oper. Res. Lett. 9,
+        1990).  The answer is kept, so a caller asking once per vertex (as
+        morse.ph_index does) runs one search.
+        """
+        if self._simplices is not None:
+            return len(self._simplices) - 1
+        if self._dimension is not None:
+            return self._dimension
+        nbrs = self.neighbors
+        best = 0
+        for v in range(self.n):
+            # entries: (clique size, candidate list, index of the next candidate)
+            stack = [(1, sorted(u for u in nbrs[v] if u > v), 0)]
+            while stack:
+                size, cand, i = stack.pop()
+                if size + len(cand) - i <= best:
+                    continue
+                if i == len(cand):
+                    best = size
+                    continue
+                u = cand[i]
+                stack.append((size, cand, i + 1))  # the branch without u
+                nu = nbrs[u]
+                stack.append((size + 1, [w for w in cand[i + 1:] if w in nu], 0))
+        self._dimension = best - 1
+        return self._dimension
 
 
 # -- module level operations ----------------------------------------------

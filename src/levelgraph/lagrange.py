@@ -109,8 +109,8 @@ def max_rank_check(g: SimplicialGraph, fs: Sequence[Sequence],
         if len(levels) != k:
             raise InputError("need one level per function")
         cs = [as_fraction(c) for c in levels]
-    d = g.dimension()
-    top = g.simplices()[d] if d >= 0 else ()
+    groups = g.simplices()
+    top = groups[-1] if groups else ()
     checked = 0
     for s in top:
         for vals in functions:

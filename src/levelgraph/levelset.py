@@ -5,9 +5,12 @@ For f on the vertices of g and a level c outside the value set, the surface
 of g on which f-c changes sign.  With several constraints the simultaneous
 locus keeps the simplices of dimension at least k on which every f_i-c_i
 changes sign.  Each vertex's side of each level is decided once; a simplex
-straddles a level when it has vertices on both sides.  When g carries
-coordinates, they are interpolated before the graph is built and passed to
-its constructor.
+straddles a level when it has vertices on both sides.  Such a simplex is a
+clique, so each of its vertices has a neighbour across the level: only the
+cliques of the band (the vertices with a neighbour across every level) are
+enumerated, or filtered from the complex of g when it is cached.  When g
+carries coordinates, they are interpolated before the graph is built and
+passed to its constructor.
 """
 
 from __future__ import annotations
@@ -34,7 +37,15 @@ class LevelSurfaceGraph:
 
 
 def _locus(g, functions, levels) -> LevelSurfaceGraph:
-    """Keep the simplices of dimension >= len(levels) straddling every level."""
+    """Keep the simplices of dimension >= len(levels) straddling every level.
+
+    Every straddling simplex lies in the band: the vertices that have a
+    neighbour on the other side of every level.  A simplex straddling a
+    level has vertices on both sides of it, and it is a clique, so each of
+    its vertices is adjacent to one across.  Hence only the cliques of the
+    band are enumerated, and they come in the order of g.simplices(), so
+    the origin is the one a filter of the whole complex gives.
+    """
     belows = []
     for values, c in zip(functions, levels):
         below = set()
@@ -44,8 +55,12 @@ def _locus(g, functions, levels) -> LevelSurfaceGraph:
             elif x == c:
                 raise LevelHitsVertex(v, c)
         belows.append(below)
+    nbrs = g.neighbors
+    band = [v for v in range(g.n)
+            if all(not nbrs[v].isdisjoint(b) if v not in b else not b.issuperset(nbrs[v])
+                   for b in belows)]
     k = len(levels)
-    origin = tuple(s for group in g.simplices()[k:] for s in group
+    origin = tuple(s for group in g.cliques(band)[k:] for s in group
                    if all(not b.isdisjoint(s) and not b.issuperset(s) for b in belows))
     coords = None
     if g.coordinates is not None:

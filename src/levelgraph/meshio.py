@@ -34,7 +34,7 @@ def _points(g: SimplicialGraph) -> list[tuple[float, float, float]]:
 
 
 def _faces(g: SimplicialGraph) -> list[tuple[int, int, int]]:
-    if g.dimension() < 2:
+    if len(g.simplices()) < 3:
         return []
     return list(surface_triangles(g).triangles)
 
@@ -53,9 +53,10 @@ def to_obj(surface: Surface) -> str:
     g = _graph_of(surface)
     points = _points(g)
     lines = [f"v {x} {y} {z}" for x, y, z in points]
-    if g.dimension() >= 2:
+    groups = g.simplices()  # the dimension is len(groups) - 1
+    if len(groups) >= 3:
         lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in _faces(g)]
-    elif g.dimension() == 1:
+    elif len(groups) == 2:
         lines += [f"l {u + 1} {v + 1}" for u, v in g.edges()]
     return "\n".join(lines) + ("\n" if lines else "")
 

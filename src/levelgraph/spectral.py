@@ -201,8 +201,8 @@ def nodal_report(g: SimplicialGraph, k: int, *,
     rational, perturbed = _rationalize(vec, perturb, seed)
     surface = level_surface(g, rational, Fraction(0))
     crossing = sum(1 for u, v in g.edges() if (rational[u] > 0) != (rational[v] > 0))
-    d = g.dimension()
-    top = g.simplices()[d] if d >= 0 else ()
+    groups = g.simplices()
+    top = groups[-1] if groups else ()
     pos_simp = sum(1 for s in top if all(rational[v] > 0 for v in s))
     neg_simp = sum(1 for s in top if all(rational[v] < 0 for v in s))
     cheeger = Fraction(crossing, min(pos_simp, neg_simp)) if min(pos_simp, neg_simp) else None
@@ -244,8 +244,8 @@ def ground_state_surface(g: SimplicialGraph, *, seed: int = 0,
     """
     if spectrum is None:
         spectrum = spectrum_of(g)
-    d = g.dimension()
     nodal = nodal_report(g, 2, perturb=True, seed=seed, spectrum=spectrum)
+    d = g.dimension()  # read from the complex that nodal_report built
     sphere = is_sphere(nodal.surface.graph, d - 1, budget=budget)
     double = double_comp = double_verdict = double_error = None
     if d == 3:

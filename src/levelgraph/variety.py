@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -22,6 +23,19 @@ from .sard import SardTrace, sard_pipeline
 
 # the binary operators allowed between arbitrary subexpressions
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+# Caps on a polynomial, checked at parse time.  The largest polynomial a test
+# or the benchmark uses has 45 nodes (the benchmark's shifted torus) and an
+# exponent of 9 (a cube of a cube, in the random expressions of the tests).
+# An exponent counts times the exponents of the powers around it, so
+# (x^8)^8 has exponent 64; with both caps the degree is at most
+# MAX_EXPONENT * MAX_NODES, and the parse, the compile and every evaluation
+# recurse at most MAX_NODES deep.
+MAX_EXPONENT = 64
+MAX_NODES = 256
+
+# one expression node per name, literal or operator sign; parentheses make none
+_NODE_TOKEN = re.compile(r"\w+|[^\w\s()]")
 
 
 @dataclass(frozen=True)
@@ -38,8 +52,11 @@ class Polynomial:
         return self._fn(tuple(as_fraction(c) for c in point))
 
 
-def _compile(node: ast.expr, names: dict[str, int], text: str):
-    """Check node against the grammar and return it as a function of a point."""
+def _compile(node: ast.expr, names: dict[str, int], text: str, power: int = 1):
+    """Check node against the grammar and return it as a function of a point.
+
+    power is the product of the exponents of the powers around node.
+    """
     def fail(reason: str):
         raise UnparsablePolynomial(f"{text!r}: {reason}")
 
@@ -55,13 +72,14 @@ def _compile(node: ast.expr, names: dict[str, int], text: str):
     if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.UAdd, ast.USub)):
             fail("only unary plus and minus are allowed")
-        operand = _compile(node.operand, names, text)
+        operand = _compile(node.operand, names, text, power)
         return operand if isinstance(node.op, ast.UAdd) else lambda p: -operand(p)
     if not isinstance(node, ast.BinOp):
         fail(f"unsupported syntax {type(node).__name__}")
     op = _BINARY.get(type(node.op))
     if op is not None:
-        left, right = _compile(node.left, names, text), _compile(node.right, names, text)
+        left = _compile(node.left, names, text, power)
+        right = _compile(node.right, names, text, power)
         return lambda p: op(left(p), right(p))
     if isinstance(node.op, ast.Div):
         # division appears only in rational literals p/q, folded to a constant
@@ -74,10 +92,13 @@ def _compile(node: ast.expr, names: dict[str, int], text: str):
         value = Fraction(node.left.value, node.right.value)
         return lambda p: value
     if isinstance(node.op, ast.Pow):
-        base = _compile(node.left, names, text)
         exponent = node.right.value if isinstance(node.right, ast.Constant) else None
         if not (isinstance(exponent, int) and not isinstance(exponent, bool) and exponent >= 0):
             fail("exponents must be nonnegative integer literals")
+        power *= max(exponent, 1)  # x^0 still evaluates x
+        if power > MAX_EXPONENT:
+            fail(f"exponent {power} is over the cap of {MAX_EXPONENT}")
+        base = _compile(node.left, names, text, power)
         return lambda p: base(p) ** exponent
     fail(f"operator {type(node.op).__name__} is not allowed")
 
@@ -86,10 +107,16 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse +, -, *, ^ (nonnegative integer powers) over rational literals.
 
     Variables are x1..xn with x, y, z, w as aliases for the first four.
-    The expression is checked and compiled once, here.
+    The expression is checked and compiled once, here.  It may have at most
+    MAX_NODES names, literals and operator signs (counted on the text,
+    before it is parsed), and no exponent, times those around it, above
+    MAX_EXPONENT.
     """
     if nvars < 1:
         raise InputError("need at least one variable")
+    nodes = len(_NODE_TOKEN.findall(text))
+    if nodes > MAX_NODES:
+        raise UnparsablePolynomial(f"{text[:40]!r}...: {nodes} nodes, over the cap of {MAX_NODES}")
     source = text.replace("^", "**")
     try:
         tree = ast.parse(source, mode="eval").body

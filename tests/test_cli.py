@@ -349,6 +349,16 @@ def test_variety_rejects_bad_polynomial(capsys):
     assert rep["error"]["type"] == "UnparsablePolynomial"
 
 
+@pytest.mark.parametrize("poly, reason", [
+    ("x^65", "exponent 65 is over the cap of 64"),
+    ("+".join(["x"] * 1000), "1999 nodes, over the cap of 256"),  # was a RecursionError
+])
+def test_variety_polynomial_over_a_cap_exits_4(capsys, poly, reason):
+    code, rep = run(capsys, "variety", "--poly", poly, "--domain", "-2,2", "--step", "1/2")
+    assert code == 4 and rep["error"]["type"] == "UnparsablePolynomial"
+    assert rep["error"]["message"].endswith(reason)
+
+
 def test_variety_grid_over_the_cap_exits_4(capsys):
     # 2,000,001^2 lattice points: rejected from the axis sizes, before any grid exists
     code, rep = run(capsys, "variety", "--poly", "x^2+y^2-1",
@@ -458,7 +468,8 @@ def test_cli_contract_holds_for_any_argv(tmp_path_factory):
         "--level": ["0", "5/2", "1/2", "-1", "1/0", "abc"],
         "--out": [str(root / "out.off"), str(root / "out.json"), *paths],
         "--format": ["json", "off", "obj", "abc"],
-        "--poly": ["x^2+y^2-2", "x*y", "-1", "1/0", "abc"],
+        "--poly": ["x^2+y^2-2", "x*y", "-1", "1/0", "abc", "x^65", "(x^8)^9",
+                   "+".join(["x"] * 1000)],
         "--domain": ["-2,2;-2,2", "-2,2", "-1", "1/0", "abc"],
         "--step": ["1", "1/2", "0", "-1", "1/0", "abc"],
         "--bogus": numbers,

@@ -3,6 +3,8 @@
 Validates:
     - adjacency/induced/unit sphere bookkeeping
     - clique enumeration against a subset-scan oracle
+    - cliques(verts) against the filtered complex, cached or not
+    - the clique search for dimension() against the complex, leaving it unbuilt
     - Euler characteristic, additivity, join formula
     - Zykov join building spheres from spheres
     - every name the package exports resolves and is listed once
@@ -15,7 +17,9 @@ import pytest
 
 import levelgraph
 from levelgraph.core import SimplicialGraph, disjoint_union, euler_characteristic, join
-from levelgraph.catalog import cross_polytope, cycle, icosahedron, octahedron, wheel
+from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid, octahedron,
+                                random_sphere, wheel)
+from levelgraph.refine import barycentric
 from levelgraph.errors import InputError
 
 from conftest import brute_euler
@@ -62,6 +66,62 @@ def test_simplices_sorted_within_dimension():
     g = octahedron()
     for group in g.simplices():
         assert list(group) == sorted(group)
+
+
+def _catalog_and_random_graphs():
+    """Catalog graphs, seeded spheres and sparse random graphs, each built fresh.
+
+    Random graphs keep n <= 30 and edge probability <= 1/2, so no complex
+    here has more than a few thousand simplices."""
+    graphs = [SimplicialGraph(0, []), SimplicialGraph(3, []), octahedron(), icosahedron(),
+              cycle(5), wheel(7), cross_polytope(3), cross_polytope(4),
+              barycentric(cross_polytope(3)).graph, kuhn_grid(3, (4, 4, 4), periodic=True),
+              kuhn_grid(4, (2, 2, 2, 2))]
+    graphs += [random_sphere(seed, 10 * seed) for seed in range(6)]
+    rng = random.Random(16)
+    for _ in range(30):
+        n, p = rng.randint(1, 30), rng.uniform(0, 0.5)
+        graphs.append(SimplicialGraph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return [SimplicialGraph(g.n, g.edges()) for g in graphs]  # none has a cached complex
+
+
+def test_dimension_is_the_clique_number_and_builds_no_complex():
+    for g in _catalog_and_random_graphs():
+        d = g.dimension()
+        assert g._simplices is None and g._dimension == d  # kept for the next call
+        assert d == len(g.simplices()) - 1
+        assert g.dimension() == d  # now read from the cached complex
+
+
+def test_dimension_of_a_large_clique_needs_no_enumeration():
+    # K_300 has 2^300 - 1 simplices; the search finds its one top simplex
+    g = SimplicialGraph(300, combinations(range(300), 2))
+    assert g.dimension() == 299
+    assert g._simplices is None
+
+
+def test_cliques_of_a_vertex_set_are_the_filtered_complex():
+    rng = random.Random(5)
+    for g in _catalog_and_random_graphs():
+        sets = [set(), {v for v in range(g.n) if rng.random() < 0.6},
+                {v for v in range(g.n) if rng.random() < 0.3}, set(range(g.n))]
+        walked = [g.cliques(verts) for verts in sets]  # a set of every vertex caches the complex
+        whole = g.simplices()
+        for verts, groups in zip(sets, walked):
+            expected = tuple(t for t in (tuple(s for s in group if verts.issuperset(s))
+                                         for group in whole) if t)
+            assert groups == expected
+            assert g.cliques(sorted(verts)) == expected  # filtered from the cache
+        assert walked[-1] == whole
+
+
+def test_cliques_of_every_vertex_are_cached_as_the_complex():
+    g = cross_polytope(3)
+    groups = g.cliques(range(g.n))
+    assert g.simplices() is groups
+    h = cross_polytope(3)
+    h.cliques(range(1, h.n))
+    assert h._simplices is None
 
 
 def test_f_vectors():

@@ -8,8 +8,11 @@ Validates:
     - oriented triangle extraction and interpolated coordinates
     - the orienter gives the triangles and orientable flag of an orienter
       that indexes every edge's triangles
+    - loci enumerated from the band's cliques equal the filter of the whole
+      complex, on catalog graphs, seeded spheres and the variety grids
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,12 +20,15 @@ import pytest
 
 from levelgraph.catalog import (cross_polytope, icosahedron, kuhn_grid, octahedron,
                                 random_sphere, sixteen_cell, wheel)
+from levelgraph.core import SimplicialGraph
 from levelgraph.errors import DimensionExceeded, LevelHitsVertex, MissingCoordinates, NotASurface
 from levelgraph.levelset import (interpolate_coordinates, level_surface,
                                  simultaneous_locus, surface_triangles)
 from levelgraph.refine import barycentric
 from levelgraph.topology import components, is_dgraph, is_sphere
+from levelgraph.variety import triangulate_variety
 
+from conftest import random_injective
 from test_topology import flag_rp2
 
 
@@ -237,3 +243,59 @@ def test_orienter_matches_the_edge_index_orienter(name):
     st = surface_triangles(graph)
     assert (st.triangles, st.orientable) == _orient_by_edge_index(graph)
     assert st.orientable == (name != "flag_rp2")
+
+
+def _straddling(g, functions, levels):
+    """The simplices of dimension >= k straddling every level, filtered from
+    the whole complex of a fresh copy of g."""
+    belows = [{v for v, x in enumerate(f) if x < c} for f, c in zip(functions, levels)]
+    whole = SimplicialGraph(g.n, g.edges()).simplices()
+    return tuple(s for group in whole[len(levels):] for s in group
+                 if all(not b.isdisjoint(s) and not b.issuperset(s) for b in belows))
+
+
+LOCUS_GRAPHS = {
+    "octahedron": octahedron,
+    "icosahedron": icosahedron,
+    "wheel(7)": lambda: wheel(7),
+    "16-cell": sixteen_cell,
+    "cross_polytope(4)": lambda: cross_polytope(4),
+    "flag_rp2": flag_rp2,
+    "barycentric(16-cell)": lambda: barycentric(sixteen_cell()).graph,
+    "3-torus 4x4x4": lambda: kuhn_grid(3, (4, 4, 4), periodic=True),
+    **{f"random_sphere({s}, {10 * s})": (lambda s=s: random_sphere(s, 10 * s)) for s in range(8)},
+}
+
+
+@pytest.mark.parametrize("name", LOCUS_GRAPHS)
+def test_band_cliques_give_the_locus_of_the_whole_complex(name):
+    graph = LOCUS_GRAPHS[name]()
+    rng = random.Random(name)
+    d = len(SimplicialGraph(graph.n, graph.edges()).simplices()) - 1
+    for k in range(1, min(d, 3) + 1):
+        for _ in range(4):
+            fs = [random_injective(rng, graph.n) for _ in range(k)]
+            cs = []
+            for f in fs:  # a level between two values at a random rank, so bands vary in size
+                values, i = sorted(f), rng.randrange(graph.n - 1)
+                cs.append((values[i] + values[i + 1]) / 2)
+            g = SimplicialGraph(graph.n, graph.edges())  # no cached complex to filter
+            locus = level_surface(g, fs[0], cs[0]) if k == 1 else simultaneous_locus(g, fs, cs)
+            assert locus.origin == _straddling(graph, fs, cs), (k, cs)
+
+
+@pytest.mark.parametrize("polys, box, step", [
+    (["x^2+y^2+z^2-2"], [(-2, 2)] * 3, Fraction(1, 2)),
+    (["x^2+y^2+z^2-2", "x+1/3*y+1/7*z-1/5"], [(-2, 2)] * 3, Fraction(1, 2)),
+    (["(x^2+y^2+z^2+3)^2-16*(x^2+y^2)"], [(-4, 4), (-4, 4), (-2, 2)], Fraction(1, 2)),
+    (["x^2+y^2+z^2+w^2-2"], [(-2, 2)] * 4, Fraction(1)),
+], ids=["sphere", "curve", "torus", "sphere4d"])
+def test_variety_stages_come_from_the_band_alone(polys, box, step):
+    """Each stage's origin is the whole-complex filter, and the grid's own
+    complex is never built: the dimension comes from the clique search."""
+    trace = triangulate_variety(polys, box, step)
+    assert trace.graph._simplices is None
+    current = trace.graph
+    for stage in trace.stages:
+        assert stage.surface.origin == _straddling(current, [stage.input_values], [stage.level])
+        current = stage.surface.graph

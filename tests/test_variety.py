@@ -7,6 +7,7 @@ Validates:
     - the singular cross x*y = 0 failing regularity with a witness
     - domain validation and step divisibility
     - the grid's vertex count and edge bound are capped before it is built
+    - a polynomial's node count and exponent are capped when it is parsed
 """
 
 import ast
@@ -22,7 +23,7 @@ from levelgraph.errors import InputError, UnparsablePolynomial
 from levelgraph.graphdoc import MAX_VERTICES
 from levelgraph.topology import components, is_dgraph
 from levelgraph.sard import EPSILON
-from levelgraph.variety import parse_polynomial, triangulate_variety
+from levelgraph.variety import MAX_EXPONENT, MAX_NODES, parse_polynomial, triangulate_variety
 
 
 def test_parse_and_evaluate():
@@ -231,3 +232,33 @@ def test_grid_is_capped_before_it_is_built(grids, domain, step, periodic, cap):
         with pytest.raises(InputError, match=f"variety grid: over the cap of {limit} {cap}"):
             triangulate_variety(["x - 1/3"], domain, step, periodic)
         assert grids == []
+
+
+LONG_SUM = "+".join(["x"] * 1000)  # deeper than the interpreter's recursion limit
+OVER = f"exponent {MAX_EXPONENT + 1} is over the cap of {MAX_EXPONENT}"
+
+
+@pytest.mark.parametrize("text, value, reason", [
+    (f"x^{MAX_EXPONENT}", 2 ** MAX_EXPONENT, None),
+    (f"x^{MAX_EXPONENT + 1}", None, OVER),
+    ("x^100000000", None, f"exponent 100000000 is over the cap of {MAX_EXPONENT}"),
+    (f"2^{MAX_EXPONENT + 1}", None, OVER),
+    ("(x^8)^8", 2 ** 64, None),  # nested exponents multiply
+    ("(x^8)^9", None, f"exponent 72 is over the cap of {MAX_EXPONENT}"),
+    (f"(x^{MAX_EXPONENT + 1})^0", None, OVER),  # the base is evaluated before its zeroth power
+    ("-" * (MAX_NODES - 1) + "x", -2, None),  # as deep as the cap allows
+    ("-" * MAX_NODES + "x", None, f"{MAX_NODES + 1} nodes, over the cap of {MAX_NODES}"),
+    ("-" + "+".join(["x"] * (MAX_NODES // 2)), MAX_NODES - 4, None),  # -2 + 127 * 2
+    ("+".join(["(x)"] * (MAX_NODES // 2 + 1)), None,  # parentheses make no node
+     f"{MAX_NODES + 1} nodes, over the cap of {MAX_NODES}"),
+    (LONG_SUM, None, f"1999 nodes, over the cap of {MAX_NODES}"),
+], ids=["exponent-at-cap", "exponent-over-cap", "exponent-huge", "constant-power-over-cap",
+        "nested-at-cap", "nested-over-cap", "zeroth-power-of-over-cap", "nodes-at-cap",
+        "nodes-over-cap", "sum-at-cap", "sum-over-cap", "sum-past-recursion-limit"])
+def test_polynomial_caps(text, value, reason):
+    if reason is None:
+        assert parse_polynomial(text, 1).evaluate([Fraction(2)]) == value
+        return
+    with pytest.raises(UnparsablePolynomial) as e:
+        parse_polynomial(text, 1)
+    assert str(e.value).endswith(reason)
