@@ -5,6 +5,11 @@ separate key so fixed-seed runs stay bitwise comparable); progress notes
 go to stderr.  Exit codes: 0 success, 2 a verification verdict was "no",
 3 a verification ran out of budget, 4 bad input.  Bad input, rejected
 arguments included, gets a JSON "error" block on stdout.
+
+Only what every command needs is imported at the top.  Each handler
+imports the modules it runs when it runs, so `levelgraph euler` loads
+neither the verifier nor numpy, and a handler calls whatever a module
+attribute holds at that moment (perfbench's tracer wraps them there).
 """
 
 from __future__ import annotations
@@ -15,22 +20,16 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import catalog, graphdoc
-from .core import SimplicialGraph, euler_characteristic
+from . import graphdoc
+from .core import euler_characteristic
 from .errors import LevelGraphError, InputError, UsageError
-from .lagrange import lagrange_candidates, max_rank_check, strong_injectivity_check
-from .levelset import level_surface, simultaneous_locus
-from .meshio import export_mesh
-from .morse import curvature
 from .rational import as_fraction
-from .refine import barycentric, extend_function
-from .sard import sard_pipeline
-from .spectral import (eigenfunction_principle_check, ground_state_surface,
-                       nodal_report, spectrum_of)
-from .topology import VerificationReport, components, is_dgraph
-from .variety import triangulate_variety
+
+if TYPE_CHECKING:
+    from .core import SimplicialGraph
+    from .topology import VerificationReport
 
 EXIT_OK = 0
 EXIT_NO = 2
@@ -60,7 +59,8 @@ def _json_default(x):
 
 def _load_graph(spec: str) -> graphdoc.GraphDocument:
     if spec.startswith("builtin:"):
-        return graphdoc.GraphDocument(catalog.build(spec[len("builtin:"):]))
+        from .catalog import build
+        return graphdoc.GraphDocument(build(spec[len("builtin:"):]))
     try:
         return graphdoc.load(spec)
     except FileNotFoundError:
@@ -109,6 +109,7 @@ def _verdict_exit(*reports: VerificationReport) -> int:
 
 
 def _surface_block(g: SimplicialGraph) -> dict:
+    from .topology import components
     block = _graph_block(g)
     comps = components(g)
     block["components"] = len(comps)
@@ -128,6 +129,7 @@ def _export(target, args, report: dict, fmt: Optional[str] = None,
             g = getattr(target, "graph", target)
             graphdoc.save(graphdoc.GraphDocument(g, values or {}), args.out)
         else:
+            from .meshio import export_mesh
             export_mesh(target, fmt, args.out)
     except OSError as e:
         raise InputError(f"cannot write {args.out}: {e.strerror}") from None
@@ -157,6 +159,7 @@ def _stages(trace, args, report: dict, excluded: bool = False) -> int:
 # ---------------------------------------------------------------- commands
 
 def _cmd_verify(args, doc) -> tuple[dict, int]:
+    from .topology import is_dgraph
     dim = args.dim if args.dim is not None else doc.graph.dimension()
     report = is_dgraph(doc.graph, dim, budget=args.budget)
     return {"dimension": dim, "verification": _verdict_block(report)}, _verdict_exit(report)
@@ -167,12 +170,14 @@ def _cmd_euler(args, doc) -> tuple[dict, int]:
 
 
 def _cmd_curvature(args, doc) -> tuple[dict, int]:
+    from .morse import curvature
     k = curvature(doc.graph)
     return {"curvature": k.values, "total": k.total,
             "matches_euler_characteristic": k.total == euler_characteristic(doc.graph)}, EXIT_OK
 
 
 def _cmd_refine(args, doc) -> tuple[dict, int]:
+    from .refine import barycentric, extend_function
     refined = barycentric(doc.graph)
     out = {"refined": _graph_block(refined.graph)}
     # the extended functions are only written, so they are only computed for --out
@@ -183,6 +188,8 @@ def _cmd_refine(args, doc) -> tuple[dict, int]:
 
 
 def _cmd_levelset(args, doc) -> tuple[dict, int]:
+    from .levelset import level_surface
+    from .topology import is_dgraph
     f, c = _one_cut(args, doc)
     surface = level_surface(doc.graph, f, c)
     verdict = is_dgraph(surface.graph, doc.graph.dimension() - 1, budget=args.budget)
@@ -193,6 +200,8 @@ def _cmd_levelset(args, doc) -> tuple[dict, int]:
 
 
 def _cmd_simultaneous(args, doc) -> tuple[dict, int]:
+    from .levelset import simultaneous_locus
+    from .topology import is_dgraph
     fs = [_function_values(doc, name) for name in args.function]
     cs = [as_fraction(c) for c in args.level]
     locus = simultaneous_locus(doc.graph, fs, cs)
@@ -205,6 +214,7 @@ def _cmd_simultaneous(args, doc) -> tuple[dict, int]:
 
 
 def _cmd_sard(args, doc) -> tuple[dict, int]:
+    from .sard import sard_pipeline
     fs = [_function_values(doc, name) for name in args.function]
     trace = sard_pipeline(doc.graph, fs, args.level, budget=args.budget)
     out = {"extension_rule": trace.extension_rule}
@@ -213,6 +223,7 @@ def _cmd_sard(args, doc) -> tuple[dict, int]:
 
 
 def _cmd_lagrange(args, doc) -> tuple[dict, int]:
+    from .lagrange import lagrange_candidates, max_rank_check, strong_injectivity_check
     fs = [_function_values(doc, name) for name in args.function]
     rank = max_rank_check(doc.graph, fs, args.level or None)
     injectivity = {"global": strong_injectivity_check(doc.graph, fs, "global").passed}
@@ -229,6 +240,7 @@ def _cmd_lagrange(args, doc) -> tuple[dict, int]:
 
 
 def _cmd_variety(args, doc) -> tuple[dict, int]:
+    from .variety import triangulate_variety
     box = []
     for i, axis in enumerate(args.domain.split(";")):
         parts = [p.strip() for p in axis.split(",")]
@@ -243,6 +255,7 @@ def _cmd_variety(args, doc) -> tuple[dict, int]:
 
 
 def _cmd_spectrum(args, doc) -> tuple[dict, int]:
+    from .spectral import eigenfunction_principle_check, spectrum_of
     spec = spectrum_of(doc.graph)
     principle = eigenfunction_principle_check(doc.graph, spec)
     out = {"eigenvalues": [float(x) for x in spec.eigenvalues],
@@ -255,6 +268,7 @@ def _cmd_spectrum(args, doc) -> tuple[dict, int]:
 
 
 def _cmd_nodal(args, doc) -> tuple[dict, int]:
+    from .spectral import nodal_report
     report = nodal_report(doc.graph, args.k,
                           perturb=args.seed is not None,
                           seed=args.seed if args.seed is not None else 0)
@@ -275,6 +289,7 @@ def _cmd_nodal(args, doc) -> tuple[dict, int]:
 
 
 def _cmd_ground_state(args, doc) -> tuple[dict, int]:
+    from .spectral import ground_state_surface
     gs = ground_state_surface(doc.graph, seed=args.seed if args.seed is not None else 0,
                               budget=args.budget)
     out = {"spectral_gap": gs.gap,
@@ -300,6 +315,8 @@ def _cmd_ground_state(args, doc) -> tuple[dict, int]:
 
 
 def _cmd_export(args, doc) -> tuple[dict, int]:
+    from .levelset import level_surface
+    from .refine import extend_function
     if not args.out:
         raise InputError("export needs --out FILE")
     target, values = doc.graph, doc.values

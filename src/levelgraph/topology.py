@@ -246,10 +246,10 @@ def _sphere(base, active, d, budget):
     witness of the first check that fails (see the module docstring).  The
     Euler characteristic is checked on the whole graph only."""
     n = len(active)
-    if d == -1:
-        return "graph is nonempty" if n else None
-    if n == 0:
-        return "graph is empty"
+    if n == 0:  # only the (-1)-sphere is empty
+        return None if d == -1 else "graph is empty"
+    if d < 0:
+        return "graph is nonempty"
     # the d = 0 and d = 1 base rules; a witness is looked for only when they fail
     if d == 0 and n == 2:
         a, b = active

@@ -388,28 +388,39 @@ def test_non_finite_coordinates_never_reach_an_export(capsys, tmp_path):
 
 
 COLD_START = """
+import json
 import sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("levelgraph.") or m == "numpy")
 import levelgraph
+steps = {"import": loaded()}
 from levelgraph import cli
-loaded = ["numpy" in sys.modules]
 for command in ("euler", "verify", "levelset", "spectrum"):
     argv = [command, "--graph", "builtin:octahedron"]
     if command == "levelset":
         argv += ["--function", "1,2,3,4,5,6", "--level", "5/2"]
     assert cli.main(argv) == 0
-    loaded.append("numpy" in sys.modules)
-print(loaded, file=sys.stderr)
+    steps[command] = loaded()
+print(json.dumps(steps), file=sys.stderr)
 """
 
 
 def test_numpy_is_loaded_only_by_an_eigensolve():
-    """A fresh interpreter imports numpy neither for `import levelgraph` nor for
-    euler, verify and levelset; spectrum, the positive control, loads it."""
+    """In a fresh interpreter `import levelgraph` loads no submodule; euler
+    loads the document layer and the catalog, verify adds the verifier alone,
+    and numpy waits for an eigensolve: spectrum, the positive control, loads it."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert done.stderr.strip().splitlines()[-1] == "[False, False, False, False, True]"
+    steps = {name: set(mods) for name, mods in
+             json.loads(done.stderr.strip().splitlines()[-1]).items()}
+    assert steps["import"] == set()
+    assert steps["euler"] == {f"levelgraph.{m}" for m in
+                              ("catalog", "cli", "core", "errors", "graphdoc", "rational")}
+    assert steps["verify"] - steps["euler"] == {"levelgraph.topology"}
+    assert "numpy" not in steps["levelset"]
+    assert "numpy" in steps["spectrum"]
 
 
 def test_levelset_json_export(capsys, tmp_path):

@@ -7,9 +7,12 @@ Validates:
     - the clique search for dimension() against the complex, leaving it unbuilt
     - Euler characteristic, additivity, join formula
     - Zykov join building spheres from spheres
-    - every name the package exports resolves and is listed once
+    - every name the package exports resolves and is listed once; a star
+      import binds exactly those names, dir() lists them, an unknown name
+      raises AttributeError and a submodule resolves as an attribute
 """
 
+import importlib
 import random
 from itertools import combinations
 
@@ -196,3 +199,26 @@ def test_exports_resolve_once():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(levelgraph, name), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from levelgraph import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(levelgraph.__all__)
+
+
+def test_dir_lists_every_export():
+    assert set(levelgraph.__all__) <= set(dir(levelgraph))
+
+
+def test_unknown_attribute_is_named():
+    with pytest.raises(AttributeError, match="nonexistent"):
+        levelgraph.nonexistent
+
+
+def test_submodule_is_an_attribute():
+    topology = importlib.import_module("levelgraph.topology")
+    assert levelgraph.topology is topology
+    # the lookup a fresh `levelgraph.topology` takes before the import binds it
+    assert levelgraph.__getattr__("topology") is topology

@@ -9,6 +9,7 @@ Validates:
     - the Euler characteristic entry check and the 2-sphere rule agree with
       a definitional oracle; tori and annuli are rejected without a search
     - one expansion per decided 2-sphere
+    - below d = -1 every graph is rejected by its vertex count alone
     - the d = 3 pass that walks each edge link once keeps every verdict,
       witness and expansion count, and every budget threshold
     - a verdict depends only on the graph, the dimension and the budget, not
@@ -108,6 +109,18 @@ def test_cycle_not_contractible():
 def test_empty_graph_dimension():
     r = is_dgraph(SimplicialGraph(0, []), -1)
     assert r.ok
+
+
+@pytest.mark.parametrize("d", [-2, -3, -4])
+@pytest.mark.parametrize("g", [SimplicialGraph(0, []), SimplicialGraph(1, []), cycle(4),
+                               octahedron()], ids=["empty", "point", "C4", "octahedron"])
+def test_no_sphere_below_dimension_minus_one(g, d):
+    """Only the (-1)-sphere is empty, and no sphere has a negative dimension
+    below it: the verdict names the vertex count, with no chi target."""
+    r = is_sphere(g, d)
+    assert (r.verdict, r.witness, r.expansions) == (
+        "no", "graph is nonempty" if g.n else "graph is empty", 0)
+    assert is_dgraph(g, d).witness == ("graph is nonempty" if g.n else None)
 
 
 def test_budget_zero_gives_resource_limit():
