@@ -315,13 +315,13 @@ def _cmd_ground_state(args, doc) -> tuple[dict, int]:
 
 
 def _cmd_export(args, doc) -> tuple[dict, int]:
-    from .levelset import level_surface
-    from .refine import extend_function
     if not args.out:
         raise InputError("export needs --out FILE")
     target, values = doc.graph, doc.values
     out = {}
     if args.function or args.level:
+        from .levelset import level_surface
+        from .refine import extend_function
         f, c = _one_cut(args, doc)
         target = level_surface(doc.graph, f, c)
         out["surface"] = _surface_block(target.graph)

@@ -18,6 +18,7 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import levelgraph
 from levelgraph import graphdoc
 from levelgraph.cli import _COMMANDS, _OPTIONS, main
 from levelgraph.graphdoc import MAX_VERTICES
@@ -404,23 +405,39 @@ for command in ("euler", "verify", "levelset", "spectrum"):
 print(json.dumps(steps), file=sys.stderr)
 """
 
+# every submodule's top-level imports, run without an eigensolve
+EVERY_MODULE = """
+import json
+import sys
+import levelgraph
+from levelgraph import *
+import levelgraph.cli
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("levelgraph.") or m == "numpy")),
+      file=sys.stderr)
+"""
+
 
 def test_numpy_is_loaded_only_by_an_eigensolve():
     """In a fresh interpreter `import levelgraph` loads no submodule; euler
     loads the document layer and the catalog, verify adds the verifier alone,
-    and numpy waits for an eigensolve: spectrum, the positive control, loads it."""
+    and numpy waits for an eigensolve: spectrum, the positive control, loads it.
+    Loading every submodule, by a star import and the CLI, leaves numpy out."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    steps = {name: set(mods) for name, mods in
-             json.loads(done.stderr.strip().splitlines()[-1]).items()}
+
+    def last_report(script):
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        return json.loads(done.stderr.strip().splitlines()[-1])
+
+    steps = {name: set(mods) for name, mods in last_report(COLD_START).items()}
     assert steps["import"] == set()
     assert steps["euler"] == {f"levelgraph.{m}" for m in
                               ("catalog", "cli", "core", "errors", "graphdoc", "rational")}
     assert steps["verify"] - steps["euler"] == {"levelgraph.topology"}
     assert "numpy" not in steps["levelset"]
     assert "numpy" in steps["spectrum"]
+    assert set(last_report(EVERY_MODULE)) == {f"levelgraph.{m}" for m in levelgraph._EXPORTS}
 
 
 def test_levelset_json_export(capsys, tmp_path):

@@ -440,6 +440,8 @@ def test_import_leaves_the_recursion_limit_alone():
         "import json, sys\n"
         "before = sys.getrecursionlimit()\n"
         "import levelgraph\n"
+        "from levelgraph import *\n"
+        "import levelgraph.cli\n"
         "print(json.dumps([before, sys.getrecursionlimit()]))\n")
     assert limits[0] == limits[1]
 
