@@ -127,8 +127,19 @@ def kuhn_grid(d: int, cells: Sequence[int], periodic: bool = False,
     simplices per cell.  With periodic=True every axis wraps and must have
     at least 4 cells; the result is then a d-torus.
 
-    Labels are the integer lattice coordinates.  When origin and step are
-    given, vertex coordinates are origin + index * step per axis.
+    Vertices are numbered in itertools.product order of their lattice
+    points, so point p has id sum(p[k] * stride[k]) with the last axis
+    fastest, and each neighbour is found by adding an id offset.  Labels are
+    the integer lattice points.  Unless periodic, vertex coordinates are
+    origin + index * step per axis, taken from one float table per axis
+    (origin 0 and step 1 by default).
+
+    The graph carries its dimension, d.  A clique is a chain of points
+    whose consecutive differences are 0/1 vectors, so its ends differ by a
+    0/1 vector and it has at most d + 1 points; the d + 1 corners along any
+    monotone path through a cell are one.  A periodic axis has at least 4
+    cells, so a wrapped step is never also a step the other way and no wrap
+    adds an adjacency the box does not have.
     """
     cells = tuple(int(c) for c in cells)
     if len(cells) != d:
@@ -138,26 +149,54 @@ def kuhn_grid(d: int, cells: Sequence[int], periodic: bool = False,
     if periodic and any(c < 4 for c in cells):
         raise InputError("periodic axes need at least 4 cells")
     sizes = cells if periodic else tuple(c + 1 for c in cells)
-    points = list(product(*(range(s) for s in sizes)))
-    index = {p: i for i, p in enumerate(points)}
+    strides = [1] * d
+    for k in range(d - 2, -1, -1):
+        strides[k] = strides[k + 1] * sizes[k + 1]
+    # Each point has a place on every axis: 0 first, 1 inside, 2 last (axes
+    # have at least two points).  The place decides which steps wrap or
+    # leave the box, so every point of one kind has the same id offsets.
+    kinds = [0]
+    for size in sizes:
+        along = [0] + [1] * (size - 2) + [2]
+        kinds = [kind * 3 + place for kind in kinds for place in along]
     offsets = [off for off in product((0, 1), repeat=d) if any(off)]
-    edges = []
-    for p in points:
+    wrap = [(sizes[k] - 1) * strides[k] for k in range(d)]  # a step across the seam
+
+    def moves(kind):
+        places = [kind // 3 ** (d - 1 - k) % 3 for k in range(d)]
+        up, down = [], []  # id offsets to p + off and to p - off, off in product order
         for off in offsets:
-            q = tuple(p[k] + off[k] for k in range(d))
-            if periodic:
-                q = tuple(q[k] % sizes[k] for k in range(d))
-            elif any(q[k] >= sizes[k] for k in range(d)):
-                continue
-            edges.append((index[p], index[q]))
+            axes = [k for k in range(d) if off[k]]
+            if periodic or all(places[k] != 2 for k in axes):
+                up.append(sum(-wrap[k] if places[k] == 2 else strides[k] for k in axes))
+            if periodic or all(places[k] != 0 for k in axes):
+                down.append(sum(wrap[k] if places[k] == 0 else -strides[k] for k in axes))
+        # Neighbours are added in the order of the edges (p, p + off) listed
+        # by p ascending, then off in product order: lower backward ones, the
+        # forward ones, higher backward ones (across a seam).  That order
+        # fixes each set's table layout, so its iteration order too.
+        down.sort()
+        return [b for b in down if b < 0] + up + [b for b in down if b > 0]
+
+    table = {}
+    ids = list(range(len(kinds)))
+    nbrs = []
+    for v, kind in enumerate(kinds):
+        deltas = table.get(kind)
+        if deltas is None:
+            deltas = table[kind] = moves(kind)
+        # ids from the shared list, not a fresh int per entry
+        nbrs.append({ids[v + delta] for delta in deltas})
+    points = list(product(*(range(s) for s in sizes)))
     coords = None
     if not periodic:
         if origin is None:
             origin = (Fraction(0),) * d
         if step is None:
             step = Fraction(1)
-        coords = [tuple(float(origin[k] + p[k] * step) for k in range(d)) for p in points]
-    return SimplicialGraph(len(points), edges, labels=points, coordinates=coords)
+        tables = [[float(origin[k] + i * step) for i in range(sizes[k])] for k in range(d)]
+        coords = list(product(*tables))
+    return SimplicialGraph._from_neighbors(nbrs, points, coords, dimension=d)
 
 
 def random_sphere(seed: int, refinements: int) -> SimplicialGraph:

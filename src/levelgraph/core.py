@@ -7,7 +7,15 @@ the f-vector counts the k-dimensional simplices.  One enumerator,
 cliques(verts), lists the simplices inside a vertex set; the whole complex
 is its result on every vertex, cached on the graph.  The dimension needs
 only the largest clique, so it is found by a search that builds no complex
-when none is cached.
+when none is cached, unless the builder knew it.
+
+Every graph is assembled in one place, SimplicialGraph._assemble, from one
+neighbour set per vertex; the assembly checks the sets for self loops and
+ids out of range (negative ones too), and labels and coordinates for their
+length.  The public constructor first checks its edge list (self loops,
+range, a nonnegative count) and turns coordinates into float tuples
+(_float_points); induced, refine.containment_graph and catalog.kuhn_grid
+fill neighbour sets themselves and call _from_neighbors.
 """
 
 from __future__ import annotations
@@ -50,20 +58,49 @@ class SimplicialGraph:
                 raise InputError(f"edge ({u},{v}) out of range for n={n}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        self.n = n
-        self.neighbors = tuple(frozenset(s) for s in nbrs)
+        self._assemble(nbrs, labels, _float_points(coordinates))
+
+    @classmethod
+    def _from_neighbors(cls, nbrs: Sequence[set], labels: Optional[Sequence] = None,
+                        coordinates: Optional[Sequence[tuple[float, ...]]] = None,
+                        dimension: Optional[int] = None) -> "SimplicialGraph":
+        """The graph whose vertex v has the neighbours nbrs[v]; see _assemble."""
+        graph = cls.__new__(cls)
+        graph._assemble(nbrs, labels, coordinates, dimension)
+        return graph
+
+    def _assemble(self, nbrs, labels, coordinates, dimension=None) -> None:
+        """Fill in a graph from its neighbour sets; every constructor ends here.
+
+        nbrs[v] is a set of vertex ids, and the sets are symmetric (u is in
+        nbrs[v] exactly when v is in nbrs[u]); builders keep that by adding
+        each edge at both ends.  Each set is checked for a self loop and for
+        ids outside 0..n-1, and labels and coordinates for their length.
+        Coordinates must already be tuples of floats (see _float_points).  A
+        builder that knows the dimension passes it, and dimension() then
+        searches nothing.
+        """
+        n = len(nbrs)
+        for v, s in enumerate(nbrs):
+            if v in s:
+                raise InputError(f"self loop at vertex {v}")
+            if s and not (0 <= min(s) and max(s) < n):
+                raise InputError(f"a neighbour of vertex {v} is out of range for n={n}")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
                 raise InputError("labels length must equal vertex count")
-        self.labels = labels
         if coordinates is not None:
-            coordinates = tuple(tuple(float(c) for c in p) for p in coordinates)
+            coordinates = tuple(coordinates)
             if len(coordinates) != n:
                 raise InputError("coordinates length must equal vertex count")
+        self.n = n
+        # a frozenset built from a set gets a table sized for its entries
+        self.neighbors = tuple(map(frozenset, nbrs))
+        self.labels = labels
         self.coordinates = coordinates
         self._simplices = None
-        self._dimension = None
+        self._dimension = dimension
 
     # -- basic accessors -------------------------------------------------
 
@@ -89,14 +126,18 @@ class SimplicialGraph:
         """Induced subgraph; vertex labels record where vertices came from."""
         sel = sorted(set(verts))
         index = {v: i for i, v in enumerate(sel)}
-        edges = []
-        for v in sel:
+        nbrs = [set() for _ in sel]
+        for i, v in enumerate(sel):
+            # each edge is added at both ends when its lower end is reached
             for u in self.neighbors[v]:
-                if u > v and u in index:
-                    edges.append((index[v], index[u]))
+                if u > v:
+                    j = index.get(u)
+                    if j is not None:
+                        nbrs[i].add(j)
+                        nbrs[j].add(i)
         labels = tuple(self.label_of(v) for v in sel)
         coords = tuple(self.coordinates[v] for v in sel) if self.coordinates is not None else None
-        return SimplicialGraph(len(sel), edges, labels=labels, coordinates=coords)
+        return SimplicialGraph._from_neighbors(nbrs, labels, coords)
 
     def unit_sphere(self, x: int) -> "SimplicialGraph":
         """Induced subgraph on the neighbors of x."""
@@ -186,6 +227,13 @@ class SimplicialGraph:
 
 
 # -- module level operations ----------------------------------------------
+
+
+def _float_points(coordinates: Optional[Sequence[Sequence[float]]]):
+    """Coordinates as a tuple of float tuples, the form a graph holds; None stays None."""
+    if coordinates is None:
+        return None
+    return tuple(tuple(float(c) for c in p) for p in coordinates)
 
 
 def euler_characteristic(g: SimplicialGraph) -> int:

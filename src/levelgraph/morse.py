@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from .core import SimplicialGraph, euler_characteristic
@@ -94,14 +95,25 @@ def ph_sum_check(g: SimplicialGraph, f: Sequence) -> tuple[int, int]:
 
 
 def curvature(g: SimplicialGraph) -> CurvatureVector:
-    """Exact curvature per vertex; the values sum to chi(g)."""
-    out = []
-    for x in range(g.n):
-        k = Fraction(1)
-        for dim, count in enumerate(g.unit_sphere(x).f_vector()):
-            k += Fraction((-1) ** (dim + 1) * count, dim + 2)
-        out.append(k)
-    return CurvatureVector(tuple(out), sum(out, Fraction(0)))
+    """Exact curvature per vertex; the values sum to chi(g).
+
+    K(x) = 1 - v0/2 + v1/3 - ... over the f-vector of S(x) is the sum, over
+    the simplices s containing x, of (-1)^dim s / (dim s + 1) (Knill, A graph
+    theoretical Gauss-Bonnet-Chern theorem, arXiv:1111.5395): removing x
+    maps the simplices of dimension k >= 1 containing x onto those of S(x) of
+    dimension k - 1, and x itself is the one of dimension 0.  So one pass
+    over the complex counts, per dimension, the simplices at each vertex;
+    the weights share one denominator, and each vertex makes one Fraction.
+    """
+    groups = g.simplices()
+    denom = math.lcm(*range(1, len(groups) + 1))
+    numerators = [0] * g.n
+    for dim, group in enumerate(groups):
+        weight = (-1) ** dim * (denom // (dim + 1))
+        for x, count in Counter(chain.from_iterable(group)).items():
+            numerators[x] += weight * count
+    return CurvatureVector(tuple(Fraction(k, denom) for k in numerators),
+                           Fraction(sum(numerators), denom))
 
 
 def central_surface(g: SimplicialGraph, f: Sequence, x: int) -> LevelSurfaceGraph:

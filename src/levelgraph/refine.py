@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import Simplex, SimplicialGraph
+from .core import Simplex, SimplicialGraph, _float_points
 from .rational import as_fraction_vector
 
 
@@ -34,14 +34,15 @@ def containment_graph(origin: Sequence[Simplex], min_dim: int = 0,
     origin; faces below min_dim are not looked up.
     """
     index = {s: i for i, s in enumerate(origin)}
-    edges = []
+    nbrs = [set() for _ in origin]
     for i, s in enumerate(origin):
         for size in range(min_dim + 1, len(s)):
             for t in combinations(s, size):
                 j = index.get(t)
                 if j is not None:
-                    edges.append((j, i))
-    return SimplicialGraph(len(origin), edges, labels=origin, coordinates=coordinates)
+                    nbrs[j].add(i)
+                    nbrs[i].add(j)
+    return SimplicialGraph._from_neighbors(nbrs, origin, _float_points(coordinates))
 
 
 def barycentric(g: SimplicialGraph) -> RefinedGraph:

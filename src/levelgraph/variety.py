@@ -14,6 +14,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 from .catalog import check_kuhn_size, kuhn_grid
@@ -160,8 +161,11 @@ def triangulate_variety(polys: Sequence[Union[str, Polynomial]],
     check_kuhn_size("variety grid", cells, periodic)
     grid = kuhn_grid(d, cells, periodic=periodic,
                      origin=[lo for lo, _ in box], step=step)
-    points = [tuple(box[j][0] + idx[j] * step for j in range(d))
-              for idx in (grid.label_of(v) for v in range(grid.n))]
+    # the grid numbers its lattice points in product order, so one table of
+    # exact values per axis gives every point
+    axes = [[lo + i * step for i in range(c if periodic else c + 1)]
+            for (lo, _), c in zip(box, cells)]
+    points = list(product(*axes))
     values = [[p.evaluate(pt) for pt in points] for p in parsed]
 
     return sard_pipeline(grid, values, [Fraction(0)] * len(parsed), budget=budget,

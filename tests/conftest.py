@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -44,6 +44,51 @@ def brute_euler(g: SimplicialGraph) -> int:
             if all(g.adjacent(u, v) for u, v in combinations(sub, 2)):
                 chi += 1 if size % 2 == 1 else -1
     return chi
+
+
+def kuhn_grid_by_edges(d, cells, periodic=False, origin=None, step=None) -> SimplicialGraph:
+    """The Kuhn grid built from an edge list of lattice-point tuples.
+
+    For each point p in product order and each nonzero 0/1 vector off in
+    product order, p is joined to p + off (wrapped when periodic); ids come
+    from a point -> id dict and coordinates from Fraction arithmetic per
+    point.  This was catalog.kuhn_grid before it moved to index arithmetic.
+    """
+    sizes = tuple(cells) if periodic else tuple(c + 1 for c in cells)
+    points = list(product(*(range(s) for s in sizes)))
+    index = {p: i for i, p in enumerate(points)}
+    offsets = [off for off in product((0, 1), repeat=d) if any(off)]
+    edges = []
+    for p in points:
+        for off in offsets:
+            q = tuple(p[k] + off[k] for k in range(d))
+            if periodic:
+                q = tuple(q[k] % sizes[k] for k in range(d))
+            elif any(q[k] >= sizes[k] for k in range(d)):
+                continue
+            edges.append((index[p], index[q]))
+    coords = None
+    if not periodic:
+        origin = (Fraction(0),) * d if origin is None else origin
+        step = Fraction(1) if step is None else step
+        coords = [tuple(float(origin[k] + p[k] * step) for k in range(d)) for p in points]
+    return SimplicialGraph(len(points), edges, labels=points, coordinates=coords)
+
+
+def same_graph(a: SimplicialGraph, b: SimplicialGraph) -> bool:
+    """Equal vertex count, labels and coordinates (floats bit for bit, all held
+    as tuples), and neighbour sets that iterate in the same order."""
+    def bits(coords):
+        return None if coords is None else [[c.hex() for c in p] for p in coords]
+
+    return (a.n == b.n
+            and type(b.neighbors) is tuple and all(type(s) is frozenset for s in b.neighbors)
+            and all(list(s) == list(t) for s, t in zip(a.neighbors, b.neighbors))
+            and a.labels == b.labels
+            and (a.labels is None or type(b.labels) is tuple)
+            and bits(a.coordinates) == bits(b.coordinates)
+            and (b.coordinates is None
+                 or type(b.coordinates) is tuple and all(type(p) is tuple for p in b.coordinates)))
 
 
 def paper_octahedron() -> SimplicialGraph:

@@ -3,19 +3,26 @@
 Validates:
     - random_sphere builds the graph and coordinates of the loop that rebuilt
       and re-sorted its whole edge list before every split
+    - kuhn_grid builds the graph of the edge-list builder it replaced, bit for
+      bit, and carries the dimension a clique search finds
     - build caps a spec's vertex count and an upper bound on its edge count,
       both computed from its arguments, before any constructor runs
 """
 
 import math
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from levelgraph import catalog
-from levelgraph.catalog import MAX_EDGES, icosahedron, random_sphere
+from levelgraph.catalog import MAX_EDGES, icosahedron, kuhn_grid, random_sphere
+from levelgraph.core import SimplicialGraph
 from levelgraph.errors import InputError
 from levelgraph.graphdoc import MAX_VERTICES
+
+from conftest import kuhn_grid_by_edges, same_graph
 
 
 def _random_sphere_rebuilding(seed, refinements):
@@ -49,6 +56,26 @@ def test_random_sphere_matches_the_rebuilding_loop():
             g = random_sphere(seed, refinements)
             assert (g.neighbors, g.coordinates) == _random_sphere_rebuilding(seed, refinements), \
                 (seed, refinements)
+
+
+KUHN_AXES = [cells for d in (1, 2, 3) for cells in product((1, 2, 4), repeat=d)]
+KUHN_AXES += [(1, 2, 4, 1), (2, 1, 1, 2), (4, 4, 4, 4), (4, 2, 1, 4), (5, 4, 6), (7, 4)]
+
+
+@pytest.mark.parametrize("cells", KUHN_AXES)
+@pytest.mark.parametrize("periodic", [False, True])
+def test_kuhn_grid_matches_the_edge_list_builder(cells, periodic):
+    d = len(cells)
+    if periodic and min(cells) < 4:
+        with pytest.raises(InputError, match="at least 4 cells"):
+            kuhn_grid(d, cells, periodic)
+        return
+    shifted = ((Fraction(-2), Fraction(1, 3), Fraction(-5, 7), Fraction(3, 2))[:d], Fraction(1, 6))
+    for origin, step in ((None, None), shifted):
+        g = kuhn_grid(d, cells, periodic, origin, step)
+        assert same_graph(kuhn_grid_by_edges(d, cells, periodic, origin, step), g)
+        assert g._dimension == d  # carried, so dimension() searches nothing
+        assert g.dimension() == SimplicialGraph(g.n, g.edges()).dimension() == d
 
 
 @pytest.fixture

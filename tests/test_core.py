@@ -2,6 +2,10 @@
 
 Validates:
     - adjacency/induced/unit sphere bookkeeping
+    - the edge-list constructor and the neighbour-set assembly reject the same
+      bad input: self loops, ids out of range, negative counts, label and
+      coordinate lists of the wrong length
+    - induced builds the graph its edge-list form built, bit for bit
     - clique enumeration against a subset-scan oracle
     - cliques(verts) against the filtered complex, cached or not
     - the clique search for dimension() against the complex, leaving it unbuilt
@@ -25,7 +29,7 @@ from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid, o
 from levelgraph.refine import barycentric
 from levelgraph.errors import InputError
 
-from conftest import brute_euler
+from conftest import brute_euler, same_graph
 
 
 def test_basic_accessors():
@@ -38,11 +42,32 @@ def test_basic_accessors():
     assert g.dimension() == 2
 
 
+# (n, edges, the same graph as neighbour sets, labels, coordinates, error message)
+BAD_GRAPHS = [
+    (3, [(0, 0)], [{0}, set(), set()], None, None, "self loop at vertex 0"),
+    (3, [(0, 5)], [{5}, set(), set()], None, None, "out of range"),
+    (3, [(0, -1)], [{-1}, set(), set()], None, None, "out of range"),
+    (3, [(-3, 1)], [set(), {-3}, set()], None, None, "out of range"),
+    (-1, [], None, None, None, "nonnegative"),  # a list of neighbour sets has no negative length
+    (3, [(0, 1)], [{1}, {0}, set()], "ab", None, "labels length"),
+    (3, [(0, 1)], [{1}, {0}, set()], None, [(0.0,)] * 4, "coordinates length"),
+]
+
+
 def test_rejects_self_loops_and_range():
-    with pytest.raises(InputError):
-        SimplicialGraph(3, [(0, 0)])
-    with pytest.raises(InputError):
-        SimplicialGraph(3, [(0, 5)])
+    for n, edges, nbrs, labels, coordinates, message in BAD_GRAPHS:
+        with pytest.raises(InputError, match=message):
+            SimplicialGraph(n, edges, labels, coordinates)
+        if nbrs is not None:
+            with pytest.raises(InputError, match=message):
+                SimplicialGraph._from_neighbors(nbrs, labels, coordinates)
+
+
+def test_neighbour_sets_assemble_the_graph_their_edges_build():
+    nbrs = [{1, 2}, {0}, {0}]
+    g = SimplicialGraph._from_neighbors(nbrs, "abc", [(0.0,), (1.0,), (2.0,)], dimension=1)
+    assert same_graph(SimplicialGraph(3, [(0, 1), (0, 2)], "abc", [(0,), (1,), (2,)]), g)
+    assert g.dimension() == 1 and g._simplices is None
 
 
 def test_empty_graph():
@@ -192,6 +217,31 @@ def test_induced_labels_track_parent():
     h = g.induced([1, 3, 4])
     assert h.n == 3
     assert [h.label_of(v) for v in range(3)] == [1, 3, 4]
+
+
+def _induced_by_edges(g, verts):
+    """SimplicialGraph.induced as it was, through an edge list and the constructor."""
+    sel = sorted(set(verts))
+    index = {v: i for i, v in enumerate(sel)}
+    edges = [(index[v], index[u]) for v in sel for u in g.neighbors[v] if u > v and u in index]
+    coords = [g.coordinates[v] for v in sel] if g.coordinates is not None else None
+    return SimplicialGraph(len(sel), edges, [g.label_of(v) for v in sel], coords)
+
+
+def test_induced_matches_the_edge_list_builder():
+    rng = random.Random(11)
+    graphs = [octahedron(), icosahedron(), random_sphere(3, 300), kuhn_grid(3, (8, 8, 4)),
+              kuhn_grid(3, (4, 5, 4), periodic=True), barycentric(cross_polytope(3)).graph]
+    for g in graphs:
+        for share in (0.1, 0.5, 0.9, 1.0):
+            verts = [v for v in range(g.n) if rng.random() < share]
+            h = g.induced(verts)
+            assert same_graph(_induced_by_edges(g, verts), h)
+            rebuilt = SimplicialGraph(h.n, h.edges(), h.labels, h.coordinates)
+            assert (rebuilt.neighbors, rebuilt.labels, rebuilt.coordinates) == \
+                (h.neighbors, h.labels, h.coordinates)
+        for x in (0, g.n // 2, g.n - 1):
+            assert same_graph(_induced_by_edges(g, g.neighbors[x]), g.unit_sphere(x))
 
 
 def test_exports_resolve_once():

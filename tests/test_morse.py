@@ -4,6 +4,7 @@ Validates:
     - min/max/saddle/monkey-saddle indices and classifications
     - index sums equal chi for random injective functions
     - curvature goldens and Gauss-Bonnet totals, vanishing in odd dimension
+    - one-pass curvature equals the f-vector formula over every unit sphere
     - central surface identities against the symmetric index
     - exact index expectation equals curvature; Monte Carlo approaches it
 """
@@ -13,8 +14,11 @@ from fractions import Fraction
 
 import pytest
 
-from levelgraph.catalog import icosahedron, kuhn_grid, octahedron, sixteen_cell, wheel
+from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid, octahedron,
+                                random_sphere, sixteen_cell, suspension, wheel)
+from levelgraph.core import SimplicialGraph
 from levelgraph.core import euler_characteristic
+from levelgraph.refine import barycentric
 from levelgraph.errors import NotLocallyInjective
 from levelgraph.morse import (central_surface, curvature, index_expectation,
                               index_expectation_exact, ph_index, ph_sum_check)
@@ -127,6 +131,31 @@ def test_gauss_bonnet_everywhere(rng):
     for g in (octahedron(), icosahedron(), sixteen_cell(), wheel(7),
               kuhn_grid(2, (2, 3))):
         assert curvature(g).total == euler_characteristic(g)
+
+
+def _curvature_of_unit_spheres(g):
+    """K(x) = 1 - v0/2 + v1/3 - ... over the f-vector of each unit sphere S(x)."""
+    out = []
+    for x in range(g.n):
+        k = Fraction(1)
+        for dim, count in enumerate(g.unit_sphere(x).f_vector()):
+            k += Fraction((-1) ** (dim + 1) * count, dim + 2)
+        out.append(k)
+    return tuple(out)
+
+
+def test_curvature_matches_the_unit_sphere_formula():
+    graphs = [SimplicialGraph(0, []), SimplicialGraph(3, [(0, 1)]), cycle(5), wheel(7),
+              octahedron(), icosahedron(), sixteen_cell(), cross_polytope(4),
+              kuhn_grid(2, (2, 3)), barycentric(sixteen_cell()).graph,
+              kuhn_grid(3, (5, 5, 5), periodic=True)]
+    graphs += [random_sphere(seed, 40) for seed in range(4)]
+    graphs += [suspension(random_sphere(seed, 20)) for seed in range(2)]
+    for g in graphs:
+        expected = _curvature_of_unit_spheres(g)
+        k = curvature(g)
+        assert k.values == expected
+        assert k.total == sum(expected, Fraction(0)) == euler_characteristic(g)
 
 
 def test_odd_dimension_flat():

@@ -6,15 +6,20 @@ Validates:
     - edges are exactly the strict containment pairs
     - coloring by origin dimension is proper: edges join different dimensions
     - extension by simplex means commutes with affine maps
+    - containment_graph and barycentric build the graphs their edge-list form
+      built, bit for bit
 """
 
 from fractions import Fraction
+from itertools import combinations
 import random
 
-from levelgraph.core import euler_characteristic
-from levelgraph.catalog import cross_polytope, cycle, icosahedron, octahedron, wheel
-from levelgraph.refine import barycentric, extend_function
+from levelgraph.core import SimplicialGraph, euler_characteristic
+from levelgraph.catalog import cross_polytope, cycle, icosahedron, kuhn_grid, octahedron, wheel
+from levelgraph.refine import barycentric, containment_graph, extend_function
 from levelgraph.topology import is_sphere
+
+from conftest import same_graph
 
 
 def test_vertex_count_is_simplex_count():
@@ -47,6 +52,37 @@ def test_edges_are_all_containment_pairs():
     pairs = {(pos[a], pos[b]) for a in r.origin for b in r.origin if set(a) < set(b)}
     assert set(r.graph.edges()) == pairs  # faces come first, so pos[a] < pos[b]
     assert r.graph.labels == r.origin
+
+
+def _containment_by_edges(origin, min_dim=0, coordinates=None):
+    """refine.containment_graph as it was, through an edge list and the constructor."""
+    index = {s: i for i, s in enumerate(origin)}
+    edges = [(index[t], i) for i, s in enumerate(origin) for size in range(min_dim + 1, len(s))
+             for t in combinations(s, size) if t in index]
+    return SimplicialGraph(len(origin), edges, labels=origin, coordinates=coordinates)
+
+
+def test_containment_graphs_match_the_edge_list_builder():
+    rng = random.Random(4)
+    parents = [octahedron(), cross_polytope(3), kuhn_grid(3, (3, 3, 2)),
+               kuhn_grid(2, (4, 5), periodic=True), barycentric(cross_polytope(3)).graph]
+    for g in parents:
+        r = barycentric(g)
+        centroids = None
+        if g.coordinates is not None:
+            dim = len(g.coordinates[0])
+            centroids = [tuple(sum(g.coordinates[v][k] for v in s) / len(s) for k in range(dim))
+                         for s in r.origin]
+        assert same_graph(_containment_by_edges(r.origin, 0, centroids), r.graph)
+        rebuilt = SimplicialGraph(r.graph.n, r.graph.edges(), r.graph.labels, r.graph.coordinates)
+        assert (rebuilt.neighbors, rebuilt.labels, rebuilt.coordinates) == \
+            (r.graph.neighbors, r.graph.labels, r.graph.coordinates)
+        for min_dim in (1, 2):  # a level set's origin: some simplices of dimension >= min_dim
+            origin = tuple(s for group in g.simplices()[min_dim:] for s in group
+                           if rng.random() < 0.7)
+            coords = [(float(i), 0.5) for i in range(len(origin))]
+            assert same_graph(_containment_by_edges(origin, min_dim, coords),
+                              containment_graph(origin, min_dim, coords))
 
 
 def test_dimension_coloring_proper():

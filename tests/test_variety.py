@@ -6,6 +6,8 @@ Validates:
     - circle and sphere triangulations verifying as 1- and 2-graphs
     - the singular cross x*y = 0 failing regularity with a witness
     - domain validation and step divisibility
+    - the benchmark's four varieties give the stages that the edge-list grid
+      and per-point lattice arithmetic gave, bit for bit
     - the grid's vertex count and edge bound are capped before it is built
     - a polynomial's node count and exponent are capped when it is parsed
 """
@@ -22,8 +24,10 @@ from levelgraph.catalog import MAX_EDGES
 from levelgraph.errors import InputError, UnparsablePolynomial
 from levelgraph.graphdoc import MAX_VERTICES
 from levelgraph.topology import components, is_dgraph
-from levelgraph.sard import EPSILON
+from levelgraph.sard import EPSILON, sard_pipeline
 from levelgraph.variety import MAX_EXPONENT, MAX_NODES, parse_polynomial, triangulate_variety
+
+from conftest import kuhn_grid_by_edges, same_graph
 
 
 def test_parse_and_evaluate():
@@ -181,6 +185,40 @@ def test_two_constraints_curve():
     s = tr.stages[-1]
     assert s.verdict.ok
     assert all(s.surface.graph.degree(v) == 2 for v in range(s.surface.graph.n))
+
+
+# the benchmark's varieties, centred at a shift by multiples of 1/32
+_X, _Y, _Z, _W = "(x-1/32)", "(y+3/32)", "(z-1/16)", "(w+1/32)"
+_SPHERE = f"{_X}^2+{_Y}^2+{_Z}^2-2"
+BENCHMARK_VARIETIES = {
+    "sphere": ([_SPHERE], [(-2, 2)] * 3, Fraction(1, 2)),
+    "curve": ([_SPHERE, f"{_X}+1/3*{_Y}+1/7*{_Z}-1/5"], [(-2, 2)] * 3, Fraction(1, 2)),
+    "torus": ([f"({_X}^2+{_Y}^2+{_Z}^2+3)^2-16*({_X}^2+{_Y}^2)"],
+              [(-4, 4), (-4, 4), (-2, 2)], Fraction(1, 2)),
+    "sphere4d": ([f"{_X}^2+{_Y}^2+{_Z}^2+{_W}^2-2"], [(-2, 2)] * 4, Fraction(1)),
+}
+
+
+@pytest.mark.parametrize("name", BENCHMARK_VARIETIES)
+def test_varieties_match_the_edge_list_grid(name):
+    polys, box, step = BENCHMARK_VARIETIES[name]
+    trace = triangulate_variety(polys, box, step)
+    d = len(box)
+    origin = [Fraction(lo) for lo, _ in box]
+    grid = kuhn_grid_by_edges(d, [int((hi - lo) / step) for lo, hi in box], False, origin, step)
+    points = [tuple(origin[j] + idx[j] * step for j in range(d)) for idx in grid.labels]
+    values = [[parse_polynomial(p, d).evaluate(pt) for pt in points] for p in polys]
+    old = sard_pipeline(grid, values, [0] * len(polys), perturb=True)
+    assert same_graph(grid, trace.graph)
+    assert trace.dimension == old.dimension == d
+    assert len(trace.stages) == len(old.stages)
+    for new_stage, old_stage in zip(trace.stages, old.stages):
+        assert new_stage.input_values == old_stage.input_values
+        assert (new_stage.level, new_stage.perturbed) == (old_stage.level, old_stage.perturbed)
+        assert new_stage.surface.origin == old_stage.surface.origin
+        assert new_stage.support == old_stage.support
+        assert same_graph(old_stage.surface.graph, new_stage.surface.graph)
+        assert new_stage.verdict == old_stage.verdict
 
 
 def test_step_must_divide_box():
