@@ -10,12 +10,13 @@ only the largest clique, so it is found by a search that builds no complex
 when none is cached, unless the builder knew it.
 
 Every graph is assembled in one place, SimplicialGraph._assemble, from one
-neighbour set per vertex; the assembly checks the sets for self loops and
-ids out of range (negative ones too), and labels and coordinates for their
-length.  The public constructor first checks its edge list (self loops,
-range, a nonnegative count) and turns coordinates into float tuples
+neighbour set per vertex; the assembly checks labels and coordinates for
+their length.  Each edge or set is checked once for self loops and ids out
+of range (negative ones too): the public constructor checks its edge list
+(and a nonnegative count) and turns coordinates into float tuples
 (_float_points); induced, refine.containment_graph and catalog.kuhn_grid
-fill neighbour sets themselves and call _from_neighbors.
+fill neighbour sets themselves and call _from_neighbors, which checks the
+sets.
 """
 
 from __future__ import annotations
@@ -64,7 +65,16 @@ class SimplicialGraph:
     def _from_neighbors(cls, nbrs: Sequence[set], labels: Optional[Sequence] = None,
                         coordinates: Optional[Sequence[tuple[float, ...]]] = None,
                         dimension: Optional[int] = None) -> "SimplicialGraph":
-        """The graph whose vertex v has the neighbours nbrs[v]; see _assemble."""
+        """The graph whose vertex v has the neighbours nbrs[v]; see _assemble.
+
+        Each set is checked for a self loop and for ids outside 0..n-1.
+        """
+        n = len(nbrs)
+        for v, s in enumerate(nbrs):
+            if v in s:
+                raise InputError(f"self loop at vertex {v}")
+            if s and not (0 <= min(s) and max(s) < n):
+                raise InputError(f"a neighbour of vertex {v} is out of range for n={n}")
         graph = cls.__new__(cls)
         graph._assemble(nbrs, labels, coordinates, dimension)
         return graph
@@ -74,18 +84,13 @@ class SimplicialGraph:
 
         nbrs[v] is a set of vertex ids, and the sets are symmetric (u is in
         nbrs[v] exactly when v is in nbrs[u]); builders keep that by adding
-        each edge at both ends.  Each set is checked for a self loop and for
-        ids outside 0..n-1, and labels and coordinates for their length.
-        Coordinates must already be tuples of floats (see _float_points).  A
-        builder that knows the dimension passes it, and dimension() then
-        searches nothing.
+        each edge at both ends, and the caller has checked them for self
+        loops and range.  Labels and coordinates are checked for their
+        length.  Coordinates must already be tuples of floats (see
+        _float_points).  A builder that knows the dimension passes it, and
+        dimension() then searches nothing.
         """
         n = len(nbrs)
-        for v, s in enumerate(nbrs):
-            if v in s:
-                raise InputError(f"self loop at vertex {v}")
-            if s and not (0 <= min(s) and max(s) < n):
-                raise InputError(f"a neighbour of vertex {v} is out of range for n={n}")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:

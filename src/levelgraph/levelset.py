@@ -100,23 +100,32 @@ def interpolate_coordinates(g: SimplicialGraph, origin: Sequence[Simplex],
 
     An origin edge gets the point where the (first straddling) function
     crosses its level; a higher simplex gets the centroid of the crossing
-    points on its sign-changing edges, collected over all constraints.
+    points on its sign-changing edges, collected over all constraints.  The
+    ratio t = (c - f(a)) / (f(b) - f(a)) along edge ab is one correctly
+    rounded int division of numerators and denominators, with a positive
+    divisor: the float that float() gives for the Fraction, bit for bit.
     """
     if g.coordinates is None:
         raise MissingCoordinates("parent graph has no coordinates")
     dim = len(g.coordinates[0])
     # per constraint: crossing points by edge, computed once, and each vertex's side
-    cuts = [({}, values, c, [x < c for x in values]) for values, c in zip(functions, levels)]
+    cuts = [({}, values, c.numerator, c.denominator, [x < c for x in values])
+            for values, c in zip(functions, levels)]
     points = []
     for simplex in origin:
         crossings = []
-        for memo, values, c, below in cuts:
+        for memo, values, cn, cd, below in cuts:
             for a, b in combinations(simplex, 2):
                 if below[a] == below[b]:
                     continue
                 p = memo.get((a, b))
                 if p is None:
-                    t = float((c - values[a]) / (values[b] - values[a]))
+                    # t = (c - va) / (vb - va) over integers, one true division
+                    va, vb = values[a], values[b]
+                    na, da, nb, db = va.numerator, va.denominator, vb.numerator, vb.denominator
+                    num = (cn * da - na * cd) * db
+                    den = (nb * da - na * db) * cd
+                    t = num / den if den > 0 else -num / -den
                     pa, pb = g.coordinates[a], g.coordinates[b]
                     p = memo[a, b] = tuple(pa[k] + t * (pb[k] - pa[k]) for k in range(dim))
                 crossings.append(p)

@@ -67,7 +67,9 @@ def sard_pipeline(g: SimplicialGraph, fs: Sequence[Sequence],
     discrete Sard conclusion for that stage.  A level that hits the
     stage's value set raises IncompatibleLevel, unless perturb is set:
     then the level is stepped up by EPSILON = 2^-64 until it leaves the
-    value set, and the stage records that it was perturbed.
+    value set, and the stage records that it was perturbed.  Stage 1 needs
+    no extension: its supports are the singletons (v,), so it reads fs[0]
+    as it is.
     """
     k = len(fs)
     d = g.dimension()
@@ -85,7 +87,7 @@ def sard_pipeline(g: SimplicialGraph, fs: Sequence[Sequence],
     stages: list[SardStage] = []
     for i in range(k):
         stage = i + 1
-        values = extend_by_support(functions[i], supports)
+        values = extend_by_support(functions[i], supports) if i else functions[0]
         value_set = set(values)
         if len(value_set) == 1:
             raise ConstantExtension(stage, values[0])

@@ -7,6 +7,8 @@ something that cannot share their bugs.
 
 from __future__ import annotations
 
+import ast
+import operator
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -73,6 +75,40 @@ def kuhn_grid_by_edges(d, cells, periodic=False, origin=None, step=None) -> Simp
         step = Fraction(1) if step is None else step
         coords = [tuple(float(origin[k] + p[k] * step) for k in range(d)) for p in points]
     return SimplicialGraph(len(points), edges, labels=points, coordinates=coords)
+
+
+def fraction_polynomial(text: str, nvars: int):
+    """The polynomial text as a function of a point, one Fraction per operation.
+
+    Every +, -, * and ^ builds a normalised Fraction, and p/q literals fold
+    to constants: variety's evaluator before it moved to an integer kernel.
+    It checks nothing, so it takes only text that parse_polynomial accepts.
+    """
+    names = {f"x{i + 1}": i for i in range(nvars)}
+    names.update(zip("xyzw", range(nvars)))
+    binary = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+    def compile_node(node):
+        if isinstance(node, ast.Constant):
+            value = Fraction(node.value)
+            return lambda p: value
+        if isinstance(node, ast.Name):
+            return operator.itemgetter(names[node.id])
+        if isinstance(node, ast.UnaryOp):
+            operand = compile_node(node.operand)
+            return operand if isinstance(node.op, ast.UAdd) else lambda p: -operand(p)
+        if isinstance(node.op, ast.Div):
+            value = Fraction(node.left.value, node.right.value)
+            return lambda p: value
+        if isinstance(node.op, ast.Pow):
+            base, exponent = compile_node(node.left), node.right.value
+            return lambda p: base(p) ** exponent
+        op = binary[type(node.op)]
+        left, right = compile_node(node.left), compile_node(node.right)
+        return lambda p: op(left(p), right(p))
+
+    fn = compile_node(ast.parse(text.replace("^", "**"), mode="eval").body)
+    return lambda point: fn(tuple(Fraction(c) for c in point))
 
 
 def same_graph(a: SimplicialGraph, b: SimplicialGraph) -> bool:

@@ -6,6 +6,9 @@ Validates:
     - LevelHitsVertex and constraint-count errors
     - simultaneous locus on the 16-cell: regular pair gives a circle
     - oriented triangle extraction and interpolated coordinates
+    - crossing ratios bit for bit the floats of their Fractions, on a unit
+      edge, and crossing points bit for bit those of Fraction ratios, for
+      levels moved by multiples of EPSILON and on a rational locus
     - the orienter gives the triangles and orientable flag of an orienter
       that indexes every edge's triangles
     - loci enumerated from the band's cliques equal the filter of the whole
@@ -25,6 +28,7 @@ from levelgraph.errors import DimensionExceeded, LevelHitsVertex, MissingCoordin
 from levelgraph.levelset import (interpolate_coordinates, level_surface,
                                  simultaneous_locus, surface_triangles)
 from levelgraph.refine import barycentric
+from levelgraph.sard import EPSILON
 from levelgraph.topology import components, is_dgraph, is_sphere
 from levelgraph.variety import triangulate_variety
 
@@ -182,6 +186,82 @@ def test_interpolation_needs_coordinates():
     assert s.graph.coordinates is None
     with pytest.raises(MissingCoordinates):
         interpolate_coordinates(g, s.origin, s.functions, s.levels)
+
+
+def _interpolate_by_fractions(g, origin, functions, levels):
+    """Crossing points, each ratio taken as float((c - va) / (vb - va)) of a
+    Fraction: interpolate_coordinates before its ratio moved to integers."""
+    dim = len(g.coordinates[0])
+    points = []
+    for simplex in origin:
+        crossings = []
+        for values, c in zip(functions, levels):
+            for a, b in combinations(simplex, 2):
+                if (values[a] < c) != (values[b] < c):
+                    t = float((c - values[a]) / (values[b] - values[a]))
+                    pa, pb = g.coordinates[a], g.coordinates[b]
+                    crossings.append(tuple(pa[k] + t * (pb[k] - pa[k]) for k in range(dim)))
+        points.append(tuple(sum(p[k] for p in crossings) / len(crossings) for k in range(dim)))
+    return points
+
+
+def _bits(points):
+    """Coordinates as float.hex strings, so that 0.0 and -0.0 differ."""
+    return [[x.hex() for x in p] for p in points]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, -1, -5])
+def test_crossing_points_at_epsilon_levels_match_fraction_ratios(k):
+    # a level moved off a value set by k * EPSILON, over negative and zero values
+    g = kuhn_grid(3, (3, 3, 3), origin=[Fraction(-3, 2)] * 3, step=Fraction(1, 1))
+    f = [Fraction(i % 5 - 2) * Fraction(i % 3 - 1, 7) - Fraction(i % 2, 3) for i in range(g.n)]
+    s = level_surface(g, f, k * EPSILON)
+    assert s.graph.n > 0
+    pts = interpolate_coordinates(g, s.origin, s.functions, s.levels)
+    assert _bits(pts) == _bits(_interpolate_by_fractions(g, s.origin, s.functions, s.levels))
+    assert _bits(s.graph.coordinates) == _bits(pts)
+
+
+def test_crossing_points_of_a_rational_locus_match_fraction_ratios():
+    rng = random.Random(19)
+    g = kuhn_grid(3, (3, 3, 2), origin=[Fraction(-1, 3), Fraction(2, 7), Fraction(-5, 2)],
+                  step=Fraction(2, 7))
+    fs = [[Fraction(rng.randint(-90, 90), rng.randint(1, 40)) for _ in range(g.n)]
+          for _ in range(2)]
+    cs = [Fraction(-3, 7), Fraction(5, 11)]
+    s = simultaneous_locus(g, fs, cs)
+    assert s.graph.n > 0
+    pts = interpolate_coordinates(g, s.origin, s.functions, s.levels)
+    assert _bits(pts) == _bits(_interpolate_by_fractions(g, s.origin, s.functions, s.levels))
+
+
+def _crossing(rng, k):
+    """(va, vb, c) with c on the level side of exactly one of va, vb: moved
+    by k * EPSILON off a value, between two values, or at the larger one."""
+    big = rng.choice([10, 10 ** 6, 2 ** 70])
+    va, vb = (Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(2))
+    while vb == va:
+        vb = Fraction(rng.randint(-big, big), rng.randint(1, big))
+    lo, hi = sorted((va, vb))
+    kind = rng.randrange(3)
+    if kind == 0:
+        c = lo + k * EPSILON if k > 0 else hi + k * EPSILON
+    elif kind == 1:
+        c = lo + (hi - lo) * Fraction(rng.randint(1, 10 ** 9), 10 ** 9 + 1)
+    else:
+        c = hi  # a zero ratio when va is the larger value
+    return va, vb, c
+
+
+@pytest.mark.parametrize("k", [1, 3, -1, -2])
+def test_crossing_ratios_are_the_floats_of_their_fractions(k):
+    # on the edge from 0.0 to 1.0 the crossing point is the ratio t itself
+    rng = random.Random(19 + k)
+    g = SimplicialGraph(2, [(0, 1)], coordinates=[(0.0,), (1.0,)])
+    for _ in range(500):
+        va, vb, c = _crossing(rng, k)
+        ((x,),) = interpolate_coordinates(g, ((0, 1),), ((va, vb),), (c,))
+        assert x.hex() == float((c - va) / (vb - va)).hex(), (va, vb, c)
 
 
 def test_projective_plane_is_not_orientable():

@@ -2,12 +2,16 @@
 
 Validates:
     - the restricted arithmetic grammar, acceptances and rejections
-    - exact rational evaluation
+    - exact rational evaluation: the integer kernel against a Fraction
+      evaluator and per-operation Fraction arithmetic, at random, lattice
+      and float points
     - circle and sphere triangulations verifying as 1- and 2-graphs
     - the singular cross x*y = 0 failing regularity with a witness
     - domain validation and step divisibility
-    - the benchmark's four varieties give the stages that the edge-list grid
-      and per-point lattice arithmetic gave, bit for bit
+    - the benchmark's four varieties and lattice cases (shifted origins,
+      steps 1/3 and 2/7, floats, ^0, the expressions at the caps, zeros on
+      the lattice) give the stages that the edge-list grid and a Fraction
+      evaluator at every point give, bit for bit
     - the grid's vertex count and edge bound are capped before it is built
     - a polynomial's node count and exponent are capped when it is parsed
 """
@@ -27,7 +31,7 @@ from levelgraph.topology import components, is_dgraph
 from levelgraph.sard import EPSILON, sard_pipeline
 from levelgraph.variety import MAX_EXPONENT, MAX_NODES, parse_polynomial, triangulate_variety
 
-from conftest import kuhn_grid_by_edges, same_graph
+from conftest import fraction_polynomial, kuhn_grid_by_edges, same_graph
 
 
 def test_parse_and_evaluate():
@@ -118,9 +122,16 @@ def test_compiled_evaluation_matches_fraction_arithmetic():
         seen.update(c for c in "+-*^/xyzw#" if c in marked)
         seen.update(["^0"] if "^0" in text else [])
         p = parse_polynomial(text, nvars)
+        oracle = fraction_polynomial(text, nvars)
         for _ in range(5):
             point = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(nvars)]
-            assert p.evaluate(point) == direct(point), text
+            assert p.evaluate(point) == oracle(point) == direct(point), text
+        # lattice points: one denominator for every coordinate, and floats
+        q = rng.choice([1, 3, 7, 2 ** 52])
+        point = [Fraction(rng.randint(-50 * q, 50 * q), q) for _ in range(nvars)]
+        assert p.evaluate(point) == oracle(point) == direct(point), text
+        floats = [rng.uniform(-5, 5) for _ in range(nvars)]
+        assert p.evaluate(floats) == oracle(floats), text
     assert seen == set("+-*^/xyzw#") | {"^0"}
 
 
@@ -199,21 +210,48 @@ BENCHMARK_VARIETIES = {
 }
 
 
-@pytest.mark.parametrize("name", BENCHMARK_VARIETIES)
+# lattice cases: rational shifted origins, steps 1/3 and 2/7, a box and step
+# given as floats, zeroth powers, the deepest and the most powered expressions
+# the caps allow, and polynomials that are 0 at lattice points, so the level
+# is perturbed; the last entry says whether the first stage must be
+LATTICE_VARIETIES = {
+    "shifted-origin": (["(x-1/5)^2+(y+1/7)^2-1"],
+                       [(Fraction(-7, 3), Fraction(5, 3)), (Fraction(-3, 2), Fraction(3, 2))],
+                       Fraction(1, 3), False),
+    "step-1/3": (["x^2+y^2+z^2-2"], [(Fraction(-5, 3), Fraction(5, 3))] * 3, Fraction(1, 3), True),
+    "step-2/7": (["x^2+2*y^2-z-1/2"], [(Fraction(-8, 7), Fraction(8, 7))] * 3, Fraction(2, 7),
+                 False),
+    "floats": (["x^2+y^2-1/2"], [(-0.7, Fraction(-0.7) + 14 * Fraction(0.1)),
+                                 (0.3, Fraction(0.3) + 10 * Fraction(0.1))], 0.1, False),
+    "zeroth-powers": (["(x^2+y^2)*x^0-3/2*(y-x)^0+(x*y)^0*0"], [(-2, 2)] * 2, Fraction(1, 2),
+                      False),
+    "nodes-at-cap": (["-" * (MAX_NODES - 1) + "x"], [(-2, 2)], Fraction(1, 2), True),
+    "nested-at-cap": (["(x^8)^8"], [(-2, 2)], Fraction(1, 2), True),
+    "zero-on-lattice-lines": (["(x-1/3)*(y+2/3)"], [(Fraction(-2, 3), Fraction(4, 3))] * 2,
+                              Fraction(1, 3), True),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_VARIETIES) + list(LATTICE_VARIETIES))
 def test_varieties_match_the_edge_list_grid(name):
-    polys, box, step = BENCHMARK_VARIETIES[name]
+    polys, box, step, *perturbed = (BENCHMARK_VARIETIES | LATTICE_VARIETIES)[name]
     trace = triangulate_variety(polys, box, step)
     d = len(box)
+    step = Fraction(step)
     origin = [Fraction(lo) for lo, _ in box]
-    grid = kuhn_grid_by_edges(d, [int((hi - lo) / step) for lo, hi in box], False, origin, step)
+    cells = [int((Fraction(hi) - Fraction(lo)) / step) for lo, hi in box]
+    grid = kuhn_grid_by_edges(d, cells, False, origin, step)
     points = [tuple(origin[j] + idx[j] * step for j in range(d)) for idx in grid.labels]
-    values = [[parse_polynomial(p, d).evaluate(pt) for pt in points] for p in polys]
+    values = [[fraction_polynomial(p, d)(pt) for pt in points] for p in polys]
     old = sard_pipeline(grid, values, [0] * len(polys), perturb=True)
     assert same_graph(grid, trace.graph)
     assert trace.dimension == old.dimension == d
     assert len(trace.stages) == len(old.stages)
+    if perturbed:
+        assert trace.stages[0].perturbed == perturbed[0]
     for new_stage, old_stage in zip(trace.stages, old.stages):
         assert new_stage.input_values == old_stage.input_values
+        assert new_stage.excluded == old_stage.excluded
         assert (new_stage.level, new_stage.perturbed) == (old_stage.level, old_stage.perturbed)
         assert new_stage.surface.origin == old_stage.surface.origin
         assert new_stage.support == old_stage.support
