@@ -9,8 +9,12 @@ straddles a level when it has vertices on both sides.  Such a simplex is a
 clique, so each of its vertices has a neighbour across the level: only the
 cliques of the band (the vertices with a neighbour across every level) are
 enumerated, or filtered from the complex of g when it is cached.  When g
-carries coordinates, they are interpolated before the graph is built and
-passed to its constructor.
+carries coordinates, they are interpolated, reading the sides decided for
+the band, before the graph is built and passed to its constructor.
+
+A surface's triangles come from one walk around each unit sphere, which
+also checks that the graph is a 2-graph: no separate verification and no
+clique complex (surface_triangles).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .core import Simplex, SimplicialGraph
 from .errors import DimensionExceeded, InputError, LevelHitsVertex, MissingCoordinates, NotASurface
 from .rational import as_fraction, as_fraction_vector
 from .refine import containment_graph
-from .topology import is_dgraph
+from .topology import _cycle
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ def _locus(g, functions, levels) -> LevelSurfaceGraph:
                    if all(not b.isdisjoint(s) and not b.issuperset(s) for b in belows))
     coords = None
     if g.coordinates is not None:
-        coords = interpolate_coordinates(g, origin, functions, levels)
+        coords = _interpolate(g, origin, functions, levels, belows)
     return LevelSurfaceGraph(containment_graph(origin, k, coords), g, origin, functions, levels)
 
 
@@ -107,16 +111,22 @@ def interpolate_coordinates(g: SimplicialGraph, origin: Sequence[Simplex],
     """
     if g.coordinates is None:
         raise MissingCoordinates("parent graph has no coordinates")
+    belows = [{v for v, x in enumerate(values) if x < c} for values, c in zip(functions, levels)]
+    return _interpolate(g, origin, functions, levels, belows)
+
+
+def _interpolate(g, origin, functions, levels, belows) -> tuple[tuple[float, ...], ...]:
+    """interpolate_coordinates, given for each level the set of vertices below it."""
     dim = len(g.coordinates[0])
-    # per constraint: crossing points by edge, computed once, and each vertex's side
-    cuts = [({}, values, c.numerator, c.denominator, [x < c for x in values])
-            for values, c in zip(functions, levels)]
+    # per constraint: crossing points by edge, computed once
+    cuts = [({}, values, c.numerator, c.denominator, below)
+            for values, c, below in zip(functions, levels, belows)]
     points = []
     for simplex in origin:
         crossings = []
         for memo, values, cn, cd, below in cuts:
             for a, b in combinations(simplex, 2):
-                if below[a] == below[b]:
+                if (a in below) == (b in below):
                     continue
                 p = memo.get((a, b))
                 if p is None:
@@ -144,20 +154,29 @@ class SurfaceTriangles:
 def surface_triangles(s) -> SurfaceTriangles:
     """Triangles of a 2-graph with a best-effort consistent orientation.
 
-    Accepts a level surface or a plain graph; raises NotASurface unless the
-    graph passes 2-graph verification.  The link N(a) & N(b) of an edge ab of
-    a 2-graph is two vertices, so (a, b, c) crosses ab as (b, a, w), w the
-    other one.  It is orientable iff no directed edge is used twice; a parity
-    obstruction clears the flag instead of failing.
+    Accepts a level surface or a plain graph.  One walk around each unit
+    sphere S(x), in increasing x, both checks the graph and lists its
+    triangles: NotASurface names the least x whose S(x) is not a cycle of
+    length >= 4, the witness and message 2-graph verification gives.  In a
+    2-graph S(x) induces exactly that cycle, so each triangle is listed
+    once, at its least vertex x, from a consecutive pair of the walk.  The
+    link N(a) & N(b) of an edge ab is two vertices, so (a, b, c) crosses ab
+    as (b, a, w), w the other one.  It is orientable iff no directed edge
+    is used twice; a parity obstruction clears the flag instead of failing.
     """
     graph = s.graph if hasattr(s, "graph") else s
-    report = is_dgraph(graph, 2)
-    if not report.ok:
-        raise NotASurface(f"2-graph verification said {report.verdict} "
-                          f"(witness {report.witness!r})")
-    groups = graph.simplices()
-    tris = groups[2] if len(groups) > 2 else ()
     nbrs = graph.neighbors
+    tris = []
+    for x in range(graph.n):
+        ring = _cycle(graph, nbrs[x])
+        if ring is None:
+            raise NotASurface(f"2-graph verification said no (witness {x!r})")
+        u = ring[-1]
+        for v in ring:
+            if u > x and v > x:
+                tris.append((x, u, v) if u < v else (x, v, u))
+            u = v
+    tris.sort()  # the order of graph.simplices()[2]
     oriented: dict[Simplex, tuple[int, int, int]] = {}
     for seed in tris:
         if seed in oriented:

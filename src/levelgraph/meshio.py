@@ -1,9 +1,13 @@
 """OFF and OBJ export of embedded surfaces and curves.
 
-2-dimensional surfaces become triangle meshes (oriented consistently when
-possible), 1-dimensional graphs become polyline segments, anything lower
-exports as bare points.  Coordinates are padded or truncated to three
-components since both formats are 3D.
+A graph with a triangle must be a 2-graph and becomes a triangle mesh
+(oriented consistently when possible) from levelset.surface_triangles,
+whose one walk around each unit sphere checks the graph and lists its
+triangles; a graph with edges and no triangle becomes polyline segments,
+anything lower bare points.  Which one is read from adjacency (some edge
+whose two ends share a neighbour), so export builds no clique complex.
+Coordinates, float tuples on every graph, are padded or truncated to
+three components since both formats are 3D.
 """
 
 from __future__ import annotations
@@ -24,19 +28,19 @@ def _graph_of(surface: Surface) -> SimplicialGraph:
 
 
 def _points(g: SimplicialGraph) -> list[tuple[float, float, float]]:
+    """The vertex coordinates, which a graph holds as float tuples, as 3D points."""
     if g.n > 0 and g.coordinates is None:
         raise MissingCoordinates("surface has no vertex coordinates")
-    out = []
-    for p in g.coordinates or ():
-        p = tuple(float(x) for x in p[:3])
-        out.append(p + (0.0,) * (3 - len(p)))
-    return out
+    return [p[:3] + (0.0,) * (3 - len(p)) for p in g.coordinates or ()]
 
 
 def _faces(g: SimplicialGraph) -> list[tuple[int, int, int]]:
-    if len(g.simplices()) < 3:
-        return []
-    return list(surface_triangles(g).triangles)
+    """The oriented triangles when some edge's two ends share a neighbour
+    (the graph has a triangle), else none."""
+    nbrs = g.neighbors
+    if any(not nbrs[u].isdisjoint(nbrs[v]) for u in range(g.n) for v in nbrs[u]):
+        return list(surface_triangles(g).triangles)
+    return []
 
 
 def to_off(surface: Surface) -> str:
@@ -53,10 +57,10 @@ def to_obj(surface: Surface) -> str:
     g = _graph_of(surface)
     points = _points(g)
     lines = [f"v {x} {y} {z}" for x, y, z in points]
-    groups = g.simplices()  # the dimension is len(groups) - 1
-    if len(groups) >= 3:
-        lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in _faces(g)]
-    elif len(groups) == 2:
+    faces = _faces(g)
+    if faces:
+        lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces]
+    elif any(g.neighbors):  # a graph with edges and no triangle
         lines += [f"l {u + 1} {v + 1}" for u, v in g.edges()]
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -32,8 +32,9 @@ A "no" names the first check that fails, cheapest first:
 Shortcuts that rest on theorems prune the search without changing it.
 Cones are contractible.  G-x needs no connectivity check once S(x) is
 contractible, hence nonempty and connected.  A 0-sphere is two
-non-adjacent points and a 1-sphere a cycle of length >= 4 (_circle checks
-the length too), decided without an expansion.  A connected graph whose
+non-adjacent points and a 1-sphere a cycle of length >= 4 (_cycle checks
+the length too and returns the walk, which levelset.surface_triangles
+reads), decided without an expansion.  A connected graph whose
 unit spheres are all circles is a closed surface, a 2-sphere iff chi =
 V - E/3 = 2 by their classification, and check 3 has required that: one
 expansion, check 4 and no peel or memo entry.  Only whole graphs reach
@@ -153,21 +154,30 @@ def components(g: SimplicialGraph) -> list[tuple[int, ...]]:
     return out
 
 
-def _circle(base, active) -> bool:
-    """Whether the induced subgraph is one cycle of length >= 4 through all of it."""
-    if len(active) < 4:
-        return False
+def _cycle(base, active) -> Optional[list[int]]:
+    """The vertices of the induced subgraph on active in walk order when it
+    is one cycle of length >= 4 through all of it, else None.
+
+    The walk leaves each vertex by the neighbour it did not come from and
+    stops at a vertex without exactly two neighbours in active.  Every
+    vertex it passes has two, so the first vertex it reaches again is its
+    start."""
+    size = len(active)
+    if size < 4:
+        return None
+    nbrs = base.neighbors
     start = next(iter(active))
+    ring = [start]
     prev, v = None, start
-    for step in range(1, len(active) + 1):
-        around = base.neighbors[v] & active
+    while True:
+        around = nbrs[v] & active
         if len(around) != 2:
-            return False
+            return None
         a, b = around
         prev, v = v, (b if a == prev else a)
         if v == start:
-            return step == len(active)
-    return False
+            return ring if len(ring) == size else None
+        ring.append(v)
 
 
 def _dominating(base, active) -> bool:
@@ -255,7 +265,7 @@ def _sphere(base, active, d, budget):
         a, b = active
         if b not in base.neighbors[a]:
             return None
-    elif d == 1 and _circle(base, active):
+    elif d == 1 and _cycle(base, active) is not None:
         return None
     if d >= 1 and not _connected(base, active):
         return "graph is disconnected"
@@ -294,7 +304,7 @@ def _bad_link(base, active, d, budget) -> Optional[int]:
         for y in sphere:
             if y > x:
                 link = sphere & base.neighbors[y]
-                if not _circle(base, link):
+                if _cycle(base, link) is None:
                     return x
                 twice_edges[x] += len(link)
                 twice_edges[y] += len(link)

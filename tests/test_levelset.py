@@ -10,7 +10,10 @@ Validates:
       edge, and crossing points bit for bit those of Fraction ratios, for
       levels moved by multiples of EPSILON and on a rational locus
     - the orienter gives the triangles and orientable flag of an orienter
-      that indexes every edge's triangles
+      that indexes every edge's triangles; surface_triangles refuses
+      exactly the graphs 2-graph verification refuses, with its witness,
+      and its sorted triangles are simplices()[2] in order, on surfaces,
+      non-surfaces, a disjoint union, an isolated vertex and the empty graph
     - loci enumerated from the band's cliques equal the filter of the whole
       complex, on catalog graphs, seeded spheres and the variety grids
 """
@@ -21,9 +24,9 @@ from itertools import combinations
 
 import pytest
 
-from levelgraph.catalog import (cross_polytope, icosahedron, kuhn_grid, octahedron,
+from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid, octahedron,
                                 random_sphere, sixteen_cell, wheel)
-from levelgraph.core import SimplicialGraph
+from levelgraph.core import SimplicialGraph, disjoint_union
 from levelgraph.errors import DimensionExceeded, LevelHitsVertex, MissingCoordinates, NotASurface
 from levelgraph.levelset import (interpolate_coordinates, level_surface,
                                  simultaneous_locus, surface_triangles)
@@ -314,13 +317,35 @@ SURFACES = {
     "torus 5x7": lambda: kuhn_grid(2, (5, 7), periodic=True),
     **{f"random_sphere({s}, {10 * s})": (lambda s=s: random_sphere(s, 10 * s)) for s in range(20)},
     "barycentric^2(octahedron)": lambda: barycentric(barycentric(octahedron()).graph).graph,
+    "wheel(6)": lambda: wheel(6),
+    "cycle(5)": lambda: cycle(5),
+    "cross_polytope(3)": lambda: cross_polytope(3),
+    "cross_polytope(4)": lambda: cross_polytope(4),
+    "torus 6x4": lambda: kuhn_grid(2, (6, 4), periodic=True),
+    "two octahedra": lambda: disjoint_union(octahedron(), octahedron()),
+    "octahedron + isolated vertex": lambda: disjoint_union(octahedron(), SimplicialGraph(1, [])),
+    "empty graph": lambda: SimplicialGraph(0, []),
 }
+NOT_SURFACES = {"wheel(6)", "cycle(5)", "cross_polytope(3)", "cross_polytope(4)",
+                "octahedron + isolated vertex"}
 
 
 @pytest.mark.parametrize("name", SURFACES)
 def test_orienter_matches_the_edge_index_orienter(name):
+    """surface_triangles refuses exactly the graphs is_dgraph(g, 2) refuses,
+    naming its witness; otherwise its triangles, sorted, are simplices()[2]
+    in order, oriented as the orienter with an edge index orients them."""
     graph = SURFACES[name]()
+    report = is_dgraph(graph, 2)
+    assert report.ok == (name not in NOT_SURFACES)
+    if not report.ok:
+        with pytest.raises(NotASurface) as refused:
+            surface_triangles(graph)
+        assert str(refused.value) == f"2-graph verification said no (witness {report.witness!r})"
+        return
     st = surface_triangles(graph)
+    groups = graph.simplices()
+    assert tuple(tuple(sorted(t)) for t in st.triangles) == (groups[2] if len(groups) > 2 else ())
     assert (st.triangles, st.orientable) == _orient_by_edge_index(graph)
     assert st.orientable == (name != "flag_rp2")
 
