@@ -4,10 +4,11 @@ A graph lives on dense vertex ids 0..n-1 and is treated as immutable after
 construction.  Simplices are the vertex sets of complete subgraphs, stored
 as strictly increasing tuples and grouped by dimension; the k-th entry of
 the f-vector counts the k-dimensional simplices.  One enumerator,
-cliques(verts), lists the simplices inside a vertex set; the whole complex
-is its result on every vertex, cached on the graph.  The dimension needs
-only the largest clique, so it is found by a search that builds no complex
-when none is cached, unless the builder knew it.
+cliques(verts), lists the simplices inside a vertex set (whose chi
+_euler_of reads from them) at a cost that follows the subgraph on verts;
+the whole complex is its result on every vertex, cached on the graph.
+The dimension needs only the largest clique, so it is found by a search
+that builds no complex when none is cached, unless the builder knew it.
 
 Every graph is assembled in one place, SimplicialGraph._assemble, from one
 neighbour set per vertex; the assembly checks labels and coordinates for
@@ -21,7 +22,6 @@ sets.
 
 from __future__ import annotations
 
-from itertools import takewhile
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -144,10 +144,6 @@ class SimplicialGraph:
         coords = tuple(self.coordinates[v] for v in sel) if self.coordinates is not None else None
         return SimplicialGraph._from_neighbors(nbrs, labels, coords)
 
-    def unit_sphere(self, x: int) -> "SimplicialGraph":
-        """Induced subgraph on the neighbors of x."""
-        return self.induced(self.neighbors[x])
-
     # -- clique complex --------------------------------------------------
 
     def cliques(self, verts: Iterable[int]) -> tuple[tuple[Simplex, ...], ...]:
@@ -155,33 +151,27 @@ class SimplicialGraph:
 
         Groups run from dimension 0 to the largest clique inside verts, each
         in lexicographic order, so the result is simplices() with every
-        simplex that leaves verts dropped.  When the whole complex is cached
-        it is filtered; otherwise only the cliques of verts are enumerated,
-        and when verts holds every vertex they are the complex and are cached.
+        simplex that leaves verts dropped.  They are enumerated from verts
+        alone: a simplex grows by the common neighbours inside verts above
+        its last vertex, so the cost follows the subgraph on verts, however
+        large the neighbourhoods around it.  When verts holds every vertex
+        the result is the complex, and it is cached.
         """
-        if self._simplices is not None:
-            keep = set(verts)
-            groups = (tuple(s for s in group if keep.issuperset(s)) for group in self._simplices)
-            # the faces of a clique are cliques, so no group follows an empty one
-            return tuple(takewhile(len, groups))
-        inside = bytearray(self.n)
-        for v in verts:
-            inside[v] = 1
+        keep = set(verts)
+        nbrs = self.neighbors
         groups = []
         # each entry pairs a simplex with the candidate vertices able to extend it
-        level = [((v,), sorted(u for u in self.neighbors[v] if u > v and inside[u]))
-                 for v in range(self.n) if inside[v]]
+        level = [((v,), sorted(u for u in nbrs[v] & keep if u > v)) for v in sorted(keep)]
         while level:
             groups.append(tuple(s for s, _ in level))
             nxt = []
             for s, cand in level:
-                for i, v in enumerate(cand):
-                    nv = self.neighbors[v]
-                    ncand = [u for u in cand[i + 1:] if u in nv]
-                    nxt.append((s + (v,), ncand))
+                for i, v in enumerate(cand, 1):
+                    nv, rest = nbrs[v], cand[i:]  # an empty rest skips a comprehension call
+                    nxt.append((s + (v,), [u for u in rest if u in nv] if rest else []))
             level = nxt
         groups = tuple(groups)
-        if 0 not in inside:  # the cliques of every vertex are the whole complex
+        if len(keep) == self.n:  # the cliques of every vertex are the whole complex
             self._simplices = groups
         return groups
 
@@ -244,6 +234,11 @@ def _float_points(coordinates: Optional[Sequence[Sequence[float]]]):
 def euler_characteristic(g: SimplicialGraph) -> int:
     """Alternating sum over the f-vector; 0 for the empty graph."""
     return sum(count if k % 2 == 0 else -count for k, count in enumerate(g.f_vector()))
+
+
+def _euler_of(g: SimplicialGraph, verts: Iterable[int]) -> int:
+    """The Euler characteristic of the subgraph of g induced on verts."""
+    return sum((-1) ** k * len(group) for k, group in enumerate(g.cliques(verts)))
 
 
 def _merge_labels(a: SimplicialGraph, b: SimplicialGraph):

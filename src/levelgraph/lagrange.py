@@ -16,9 +16,9 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .core import Simplex, SimplicialGraph
-from .errors import InputError, LevelHitsVertex, NotASurface, TieOnSimplex
+from .errors import InputError, LevelHitsVertex, TieOnSimplex
+from .levelset import _triangles
 from .rational import as_fraction, as_fraction_vector
-from .topology import is_dgraph
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,11 @@ def lagrange_candidates(g: SimplicialGraph, f: Sequence, h: Sequence) -> list[Si
     a vanishing gradient).  These are the candidates for extrema of f under
     the constraint h.
     """
-    report = is_dgraph(g, 2)
-    if not report.ok:
-        raise NotASurface(f"2-graph verification said {report.verdict}")
+    triangles = _triangles(g)  # raises NotASurface, naming its witness
     vf = as_fraction_vector(f, g.n)
     vh = as_fraction_vector(h, g.n)
     out = []
-    for t in g.simplices()[2]:
+    for t in triangles:
         try:
             if any(sign_gradient(vf, t, r).bits == sign_gradient(vh, t, r).bits
                    for r in t):

@@ -8,13 +8,12 @@ changes sign.  Each vertex's side of each level is decided once; a simplex
 straddles a level when it has vertices on both sides.  Such a simplex is a
 clique, so each of its vertices has a neighbour across the level: only the
 cliques of the band (the vertices with a neighbour across every level) are
-enumerated, or filtered from the complex of g when it is cached.  When g
-carries coordinates, they are interpolated, reading the sides decided for
-the band, before the graph is built and passed to its constructor.
+enumerated.  When g carries coordinates, they are interpolated, reading
+the sides decided for the band, before the graph is built.
 
 A surface's triangles come from one walk around each unit sphere, which
 also checks that the graph is a 2-graph: no separate verification and no
-clique complex (surface_triangles).
+clique complex (_triangles, which lagrange reads too).
 """
 
 from __future__ import annotations
@@ -151,24 +150,15 @@ class SurfaceTriangles:
     orientable: bool
 
 
-def surface_triangles(s) -> SurfaceTriangles:
-    """Triangles of a 2-graph with a best-effort consistent orientation.
-
-    Accepts a level surface or a plain graph.  One walk around each unit
-    sphere S(x), in increasing x, both checks the graph and lists its
-    triangles: NotASurface names the least x whose S(x) is not a cycle of
-    length >= 4, the witness and message 2-graph verification gives.  In a
-    2-graph S(x) induces exactly that cycle, so each triangle is listed
-    once, at its least vertex x, from a consecutive pair of the walk.  The
-    link N(a) & N(b) of an edge ab is two vertices, so (a, b, c) crosses ab
-    as (b, a, w), w the other one.  It is orientable iff no directed edge
-    is used twice; a parity obstruction clears the flag instead of failing.
-    """
-    graph = s.graph if hasattr(s, "graph") else s
-    nbrs = graph.neighbors
+def _triangles(graph) -> list[tuple[int, int, int]]:
+    """The triangles of a 2-graph in the order of simplices()[2], from one
+    walk around each unit sphere S(x), in increasing x: each is listed at
+    its least vertex x, from consecutive vertices of the walk.  NotASurface
+    names the least x whose S(x) is not a cycle of length >= 4, the witness
+    and message of 2-graph verification."""
     tris = []
     for x in range(graph.n):
-        ring = _cycle(graph, nbrs[x])
+        ring = _cycle(graph, graph.neighbors[x])
         if ring is None:
             raise NotASurface(f"2-graph verification said no (witness {x!r})")
         u = ring[-1]
@@ -176,7 +166,22 @@ def surface_triangles(s) -> SurfaceTriangles:
             if u > x and v > x:
                 tris.append((x, u, v) if u < v else (x, v, u))
             u = v
-    tris.sort()  # the order of graph.simplices()[2]
+    tris.sort()
+    return tris
+
+
+def surface_triangles(s) -> SurfaceTriangles:
+    """Triangles of a 2-graph with a best-effort consistent orientation.
+
+    Accepts a level surface or a plain graph (NotASurface: see _triangles).
+    The link N(a) & N(b) of an edge ab is two vertices, so (a, b, c)
+    crosses ab as (b, a, w), w the other one.  It is orientable iff no
+    directed edge is used twice; a parity obstruction clears the flag
+    instead of failing.
+    """
+    graph = s.graph if hasattr(s, "graph") else s
+    nbrs = graph.neighbors
+    tris = _triangles(graph)
     oriented: dict[Simplex, tuple[int, int, int]] = {}
     for seed in tris:
         if seed in oriented:

@@ -5,7 +5,9 @@ S^-(x) is the part of the unit sphere where f drops below f(x).  Indices
 sum to the Euler characteristic, as does the curvature
 K(x) = 1 - v0/2 + v1/3 - v2/4 + ... built from the f-vector of S(x), and
 K(x) equals the expectation of the symmetric index over random orderings
-of the closed ball around x.
+of the closed ball around x.  Subsets of S(x) are vertex sets of g (chi
+from core._euler_of); only ph_index's sublevel and the sphere that
+central_surface cuts are built as graphs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Optional, Sequence
 
-from .core import SimplicialGraph, euler_characteristic
+from .core import SimplicialGraph, _euler_of, euler_characteristic
 from .errors import InputError, NotLocallyInjective
 from .levelset import LevelSurfaceGraph, level_surface
 from .rational import as_fraction_vector
@@ -41,17 +43,16 @@ class CurvatureVector:
 
 
 def _split(g, values, x):
-    """S(x) and the positions in it of the neighbours below f(x); raises at the
-    first neighbour, in ascending order, where f ties with f(x)."""
+    """The neighbours of x below f(x), ascending; raises at the first
+    neighbour, in ascending order, where f ties with f(x)."""
     fx = values[x]
-    nbrs = sorted(g.neighbors[x])
     below = []
-    for i, y in enumerate(nbrs):
+    for y in sorted(g.neighbors[x]):
         if values[y] == fx:
             raise NotLocallyInjective((min(x, y), max(x, y)), fx)
         if values[y] < fx:
-            below.append(i)
-    return g.induced(nbrs), below
+            below.append(y)
+    return below
 
 
 def ph_index(g: SimplicialGraph, f: Sequence, x: int,
@@ -61,10 +62,10 @@ def ph_index(g: SimplicialGraph, f: Sequence, x: int,
     f must differ from f(x) on every neighbour of x; ties elsewhere, even
     between two neighbours of x, are allowed.
     """
-    sphere, below = _split(g, as_fraction_vector(f, g.n), x)
-    lower = sphere.induced(below)
-    index = 1 - euler_characteristic(lower)
-    symmetric = _symmetric_value(sphere, {frozenset(below): 1 - index}, below)
+    below = _split(g, as_fraction_vector(f, g.n), x)
+    lower = g.induced(below)
+    index = 1 - _euler_of(g, below)
+    symmetric = _symmetric_value(g, x, {frozenset(below): 1 - index}, below)
     d = g.dimension()
     if is_sphere(lower, d - 1, budget=budget).ok:
         kind = "local_max"
@@ -89,8 +90,7 @@ def ph_sum_check(g: SimplicialGraph, f: Sequence) -> tuple[int, int]:
     values = as_fraction_vector(f, g.n)
     total = 0
     for x in range(g.n):
-        sphere, below = _split(g, values, x)
-        total += 1 - euler_characteristic(sphere.induced(below))
+        total += 1 - _euler_of(g, _split(g, values, x))
     return total, euler_characteristic(g)
 
 
@@ -123,21 +123,19 @@ def central_surface(g: SimplicialGraph, f: Sequence, x: int) -> LevelSurfaceGrap
     the symmetric index.
     """
     values = as_fraction_vector(f, g.n)
-    sphere, _ = _split(g, values, x)
-    return level_surface(sphere, [values[v] for v in sorted(g.neighbors[x])], values[x])
+    _split(g, values, x)  # raises on a tie with f(x)
+    nbrs = sorted(g.neighbors[x])
+    return level_surface(g.induced(nbrs), [values[v] for v in nbrs], values[x])
 
 
-def _symmetric_value(sphere, chi_cache, subset):
+def _symmetric_value(g, x, chi_cache, subset):
+    """The symmetric index at x when subset is the part of S(x) below f(x)."""
     lower = frozenset(subset)
-    upper = frozenset(range(sphere.n)) - lower
-    vals = []
+    upper = g.neighbors[x] - lower
     for part in (lower, upper):
-        chi = chi_cache.get(part)
-        if chi is None:
-            chi = euler_characteristic(sphere.induced(part))
-            chi_cache[part] = chi
-        vals.append(1 - chi)
-    return Fraction(vals[0] + vals[1], 2)
+        if part not in chi_cache:
+            chi_cache[part] = _euler_of(g, part)
+    return Fraction(2 - chi_cache[lower] - chi_cache[upper], 2)
 
 
 def index_expectation(g: SimplicialGraph, x: int, samples: int,
@@ -147,8 +145,8 @@ def index_expectation(g: SimplicialGraph, x: int, samples: int,
     if samples <= 0:
         raise InputError("samples must be positive")
     rng = random.Random(seed)
-    sphere = g.unit_sphere(x)
-    ball = sphere.n + 1  # x itself plus its neighbors
+    nbrs = sorted(g.neighbors[x])
+    ball = len(nbrs) + 1  # x itself plus its neighbors
     chi_cache: dict = {}
     total = Fraction(0)
     total_sq = 0.0
@@ -156,8 +154,8 @@ def index_expectation(g: SimplicialGraph, x: int, samples: int,
         order = list(range(ball))
         rng.shuffle(order)
         rank_x = order[ball - 1]  # treat the last slot as the rank of x
-        subset = [v for v in range(sphere.n) if order[v] < rank_x]
-        j = _symmetric_value(sphere, chi_cache, subset)
+        subset = [v for i, v in enumerate(nbrs) if order[i] < rank_x]
+        j = _symmetric_value(g, x, chi_cache, subset)
         total += j
         total_sq += float(j) * float(j)
     mean = total / samples
@@ -174,15 +172,15 @@ def index_expectation_exact(g: SimplicialGraph, x: int) -> Fraction:
     of each size, so the average runs over subsets weighted by 1/(ball size
     * binomial(deg, size)) rather than over all permutations.
     """
-    sphere = g.unit_sphere(x)
-    deg = sphere.n
+    nbrs = sorted(g.neighbors[x])
+    deg = len(nbrs)
     if deg > 16:
         raise InputError("exact expectation is limited to degree <= 16")
     chi_cache: dict = {}
     total = Fraction(0)
     for size in range(deg + 1):
         level_sum = Fraction(0)
-        for subset in combinations(range(deg), size):
-            level_sum += _symmetric_value(sphere, chi_cache, subset)
+        for subset in combinations(nbrs, size):
+            level_sum += _symmetric_value(g, x, chi_cache, subset)
         total += level_sum / math.comb(deg, size)
     return total / (deg + 1)

@@ -26,9 +26,6 @@ Support = tuple[int, ...]
 
 EXTENSION_RULE = "flattened-multiset-mean"
 
-# the step by which a perturbed pipeline moves a level off a value set
-EPSILON = Fraction(1, 2 ** 64)
-
 
 @dataclass(frozen=True)
 class SardStage:
@@ -66,10 +63,11 @@ def sard_pipeline(g: SimplicialGraph, fs: Sequence[Sequence],
     Each stage graph H_i is checked to be a (d-i)-graph, which is the
     discrete Sard conclusion for that stage.  A level that hits the
     stage's value set raises IncompatibleLevel, unless perturb is set:
-    then the level is stepped up by EPSILON = 2^-64 until it leaves the
-    value set, and the stage records that it was perturbed.  Stage 1 needs
-    no extension: its supports are the singletons (v,), so it reads fs[0]
-    as it is.
+    then the level moves to the middle of the gap up to the least value
+    above it (up by 1 when none is above), which cuts what any small step
+    up cuts, with crossing points clear of the vertices, and the stage
+    records that it was perturbed.  Stage 1 needs no extension: its
+    supports are the singletons (v,), so it reads fs[0] as it is.
     """
     k = len(fs)
     d = g.dimension()
@@ -97,8 +95,8 @@ def sard_pipeline(g: SimplicialGraph, fs: Sequence[Sequence],
         if perturbed and not perturb:
             witnesses = tuple(v for v in range(current.n) if values[v] == c)
             raise IncompatibleLevel(stage, c, witnesses)
-        while c in value_set:
-            c += EPSILON
+        if perturbed:  # the middle of the gap above c, or c + 1 when no value is above
+            c = (c + next((x for x in excluded if x > c), c + 2)) / 2
         surface = level_surface(current, values, c)
         if surface.graph.n == 0:
             raise EmptyStage(stage, c)

@@ -25,7 +25,7 @@ from .core import SimplicialGraph
 from .errors import ConvergenceFailure, InputError, LevelGraphError, ZeroOnVertex
 from .levelset import LevelSurfaceGraph, level_surface
 from .sard import SardTrace, sard_pipeline
-from .topology import VerificationReport, components, is_sphere
+from .topology import VerificationReport, _components, components, is_sphere
 
 if TYPE_CHECKING:
     import numpy as np
@@ -152,9 +152,9 @@ def spectrum_of(g: SimplicialGraph) -> Spectrum:
 
 def signed_components(g: SimplicialGraph, values: Sequence[float]) -> tuple[int, int]:
     """Component counts of the subgraphs induced by f > ZERO_TOL and f < -ZERO_TOL."""
-    pos = [v for v in range(g.n) if values[v] > ZERO_TOL]
-    neg = [v for v in range(g.n) if values[v] < -ZERO_TOL]
-    return len(components(g.induced(pos))), len(components(g.induced(neg)))
+    pos = {v for v in range(g.n) if values[v] > ZERO_TOL}
+    neg = {v for v in range(g.n) if values[v] < -ZERO_TOL}
+    return len(_components(g, pos)), len(_components(g, neg))
 
 
 def _rationalize(vector: Sequence[float], perturb: bool,

@@ -33,8 +33,8 @@ Shortcuts that rest on theorems prune the search without changing it.
 Cones are contractible.  G-x needs no connectivity check once S(x) is
 contractible, hence nonempty and connected.  A 0-sphere is two
 non-adjacent points and a 1-sphere a cycle of length >= 4 (_cycle checks
-the length too and returns the walk, which levelset.surface_triangles
-reads), decided without an expansion.  A connected graph whose
+the length too and returns the walk, which levelset._triangles reads),
+decided without an expansion.  A connected graph whose
 unit spheres are all circles is a closed surface, a 2-sphere iff chi =
 V - E/3 = 2 by their classification, and check 3 has required that: one
 expansion, check 4 and no peel or memo entry.  Only whole graphs reach
@@ -141,17 +141,20 @@ def _connected(base, active) -> bool:
     return not unseen
 
 
-def components(g: SimplicialGraph) -> list[tuple[int, ...]]:
-    """Connected components as sorted vertex tuples, ordered by least vertex."""
-    everything = frozenset(range(g.n))
+def _components(base, active) -> list[set]:
+    """The components of the induced subgraph on the set active, by least vertex."""
     seen: set = set()
     out = []
-    for v in range(g.n):
+    for v in sorted(active):
         if v not in seen:
-            comp = _reach(g, everything, v)
-            seen |= comp
-            out.append(tuple(sorted(comp)))
+            out.append(_reach(base, active, v))
+            seen |= out[-1]
     return out
+
+
+def components(g: SimplicialGraph) -> list[tuple[int, ...]]:
+    """Connected components as sorted vertex tuples, ordered by least vertex."""
+    return [tuple(sorted(comp)) for comp in _components(g, frozenset(range(g.n)))]
 
 
 def _cycle(base, active) -> Optional[list[int]]:

@@ -1,13 +1,13 @@
 """Core graph container and clique complex enumeration.
 
 Validates:
-    - adjacency/induced/unit sphere bookkeeping
+    - adjacency/induced bookkeeping, the unit sphere as an induced graph
     - the edge-list constructor and the neighbour-set assembly reject the same
       bad input: self loops, ids out of range, negative counts, label and
       coordinate lists of the wrong length
     - induced builds the graph its edge-list form built, bit for bit
     - clique enumeration against a subset-scan oracle
-    - cliques(verts) against the filtered complex, cached or not
+    - cliques(verts) against a filter of the complex, with it cached or not
     - the clique search for dimension() against the complex, leaving it unbuilt
     - Euler characteristic, additivity, join formula
     - Zykov join building spheres from spheres
@@ -135,11 +135,12 @@ def test_cliques_of_a_vertex_set_are_the_filtered_complex():
                 {v for v in range(g.n) if rng.random() < 0.3}, set(range(g.n))]
         walked = [g.cliques(verts) for verts in sets]  # a set of every vertex caches the complex
         whole = g.simplices()
+        assert g._simplices is whole
         for verts, groups in zip(sets, walked):
             expected = tuple(t for t in (tuple(s for s in group if verts.issuperset(s))
                                          for group in whole) if t)
             assert groups == expected
-            assert g.cliques(sorted(verts)) == expected  # filtered from the cache
+            assert g.cliques(sorted(verts)) == expected  # enumerated with the complex cached
         assert walked[-1] == whole
 
 
@@ -207,7 +208,8 @@ def test_join_of_spheres():
 
 
 def test_unit_sphere_octahedron():
-    s = octahedron().unit_sphere(0)
+    g = octahedron()
+    s = g.induced(g.neighbors[0])
     assert s.n == 4
     assert all(s.degree(v) == 2 for v in range(4))
 
@@ -241,7 +243,7 @@ def test_induced_matches_the_edge_list_builder():
             assert (rebuilt.neighbors, rebuilt.labels, rebuilt.coordinates) == \
                 (h.neighbors, h.labels, h.coordinates)
         for x in (0, g.n // 2, g.n - 1):
-            assert same_graph(_induced_by_edges(g, g.neighbors[x]), g.unit_sphere(x))
+            assert same_graph(_induced_by_edges(g, g.neighbors[x]), g.induced(g.neighbors[x]))
 
 
 def test_exports_resolve_once():

@@ -7,7 +7,8 @@ Validates:
     - regularity filtering: rank-passing pairs give circle loci at level 0
       on the 16-cell, median splits and equal pairs are rejected, and a
       level on a vertex value raises
-    - candidate triangles against an edge-sign oracle
+    - candidate triangles against an edge-sign oracle, and a non-surface
+      refused with the witness of 2-graph verification
     - the subset-sum injectivity surrogate and its 20-value cap, checked
       before any enumeration
 """
@@ -19,8 +20,8 @@ from fractions import Fraction
 import pytest
 
 from levelgraph.core import SimplicialGraph
-from levelgraph.catalog import icosahedron, octahedron, sixteen_cell
-from levelgraph.errors import InputError, LevelHitsVertex, TieOnSimplex
+from levelgraph.catalog import icosahedron, octahedron, sixteen_cell, wheel
+from levelgraph.errors import InputError, LevelHitsVertex, NotASurface, TieOnSimplex
 from levelgraph.lagrange import (lagrange_candidates, max_rank_check, sign_gradient,
                                  strong_injectivity_check)
 from levelgraph.levelset import simultaneous_locus
@@ -144,6 +145,14 @@ def test_candidates_match_edge_sign_oracle(rng):
         if hit:
             expected.append(t)
     assert got == expected
+
+
+def test_candidates_refuse_a_non_surface_naming_the_witness():
+    # a 2-dimensional disc: the rim vertex 1 has the path 6-0-2 as its unit sphere
+    g = wheel(7)
+    assert is_dgraph(g, 2).witness == 1
+    with pytest.raises(NotASurface, match=r"^2-graph verification said no \(witness 1\)$"):
+        lagrange_candidates(g, list(range(7)), list(range(7, 0, -1)))
 
 
 def test_injectivity_global():

@@ -5,7 +5,8 @@ instead of trusting the writer's own vocabulary.  The export of variety
 stage surfaces (a sphere and a torus at step 1/2, and a curve) is compared
 byte for byte with a writer that takes the triangles from the clique
 complex after a separate 2-graph check, and it runs with the clique
-enumeration disabled.
+enumeration disabled.  No exported triangle of a perturbed variety (the
+sphere and the torus) repeats a corner point.
 """
 
 from fractions import Fraction
@@ -226,3 +227,12 @@ def test_export_enumerates_no_cliques(name, monkeypatch):
     monkeypatch.undo()
     assert off.startswith("OFF\n") and obj.startswith("v ")
     assert surface.graph._simplices is None
+
+
+@pytest.mark.parametrize("name", ["sphere", "torus"])
+def test_perturbed_surfaces_have_no_repeated_corner(name):
+    # both levels hit lattice values and are moved into the gap above them
+    surface = _stage_surface(name)
+    verts, faces, _ = read_off(to_off(surface))
+    assert faces
+    assert all(len({verts[i] for i in face}) == 3 for face in faces)

@@ -7,10 +7,15 @@ Validates:
     - one-pass curvature equals the f-vector formula over every unit sphere
     - central surface identities against the symmetric index
     - exact index expectation equals curvature; Monte Carlo approaches it
+    - indices, sums, expectations and central surfaces read from vertex sets
+      of the parent equal those of a copy that builds every unit sphere and
+      sublevel set as an induced graph, with the complex cached and not
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,12 +24,13 @@ from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid, o
 from levelgraph.core import SimplicialGraph
 from levelgraph.core import euler_characteristic
 from levelgraph.refine import barycentric
-from levelgraph.errors import NotLocallyInjective
+from levelgraph.errors import InputError, NotLocallyInjective
 from levelgraph.morse import (central_surface, curvature, index_expectation,
                               index_expectation_exact, ph_index, ph_sum_check)
-from levelgraph.topology import is_dgraph
+from levelgraph.levelset import level_surface
+from levelgraph.topology import is_contractible, is_dgraph, is_sphere
 
-from conftest import random_injective
+from conftest import random_injective, same_graph
 
 
 def test_min_and_max():
@@ -138,7 +144,7 @@ def _curvature_of_unit_spheres(g):
     out = []
     for x in range(g.n):
         k = Fraction(1)
-        for dim, count in enumerate(g.unit_sphere(x).f_vector()):
+        for dim, count in enumerate(g.induced(g.neighbors[x]).f_vector()):
             k += Fraction((-1) ** (dim + 1) * count, dim + 2)
         out.append(k)
     return tuple(out)
@@ -203,3 +209,150 @@ def test_expectation_reproducible():
     a = index_expectation(g, 3, 500, seed=11)
     b = index_expectation(g, 3, 500, seed=11)
     assert a == b
+
+
+# -- the induced-graph versions these functions had, as a reference -----------
+
+
+def _induced_split(g, values, x):
+    fx = values[x]
+    nbrs = sorted(g.neighbors[x])
+    below = []
+    for i, y in enumerate(nbrs):
+        if values[y] == fx:
+            raise NotLocallyInjective((min(x, y), max(x, y)), fx)
+        if values[y] < fx:
+            below.append(i)
+    return g.induced(nbrs), below
+
+
+def _induced_symmetric_value(sphere, chi_cache, subset):
+    lower = frozenset(subset)
+    upper = frozenset(range(sphere.n)) - lower
+    vals = []
+    for part in (lower, upper):
+        chi = chi_cache.get(part)
+        if chi is None:
+            chi = chi_cache[part] = euler_characteristic(sphere.induced(part))
+        vals.append(1 - chi)
+    return Fraction(vals[0] + vals[1], 2)
+
+
+def _induced_ph_index(g, f, x):
+    sphere, below = _induced_split(g, [Fraction(v) for v in f], x)
+    lower = sphere.induced(below)
+    index = 1 - euler_characteristic(lower)
+    symmetric = _induced_symmetric_value(sphere, {frozenset(below): 1 - index}, below)
+    d = g.dimension()
+    if is_sphere(lower, d - 1).ok:
+        kind = "local_max"
+    elif lower.n == 0:
+        kind = "local_min"
+    elif d == 2 and index < 0:
+        kind = "saddle"
+    elif is_contractible(lower).ok:
+        kind = "regular"
+    else:
+        kind = "unclassified"
+    return lower, index, symmetric, kind
+
+
+def _induced_ph_sum_check(g, f):
+    values = [Fraction(v) for v in f]
+    total = 0
+    for x in range(g.n):
+        sphere, below = _induced_split(g, values, x)
+        total += 1 - euler_characteristic(sphere.induced(below))
+    return total, euler_characteristic(g)
+
+
+def _induced_central_surface(g, f, x):
+    values = [Fraction(v) for v in f]
+    sphere, _ = _induced_split(g, values, x)
+    return level_surface(sphere, [values[v] for v in sorted(g.neighbors[x])], values[x])
+
+
+def _induced_index_expectation(g, x, samples, seed):
+    rng = random.Random(seed)
+    sphere = g.induced(g.neighbors[x])
+    ball = sphere.n + 1
+    chi_cache = {}
+    total = Fraction(0)
+    total_sq = 0.0
+    for _ in range(samples):
+        order = list(range(ball))
+        rng.shuffle(order)
+        rank_x = order[ball - 1]
+        subset = [v for v in range(sphere.n) if order[v] < rank_x]
+        j = _induced_symmetric_value(sphere, chi_cache, subset)
+        total += j
+        total_sq += float(j) * float(j)
+    mean = total / samples
+    var = max(total_sq / samples - float(mean) ** 2, 0.0)
+    return mean, math.sqrt(var / samples)
+
+
+def _induced_index_expectation_exact(g, x):
+    sphere = g.induced(g.neighbors[x])
+    deg = sphere.n
+    chi_cache = {}
+    total = Fraction(0)
+    for size in range(deg + 1):
+        level_sum = Fraction(0)
+        for subset in combinations(range(deg), size):
+            level_sum += _induced_symmetric_value(sphere, chi_cache, subset)
+        total += level_sum / math.comb(deg, size)
+    return total / (deg + 1)
+
+
+# catalog graphs, seeded 2-spheres, suspensions (two poles adjacent to every
+# other vertex) and a barycentric refinement
+VERTEX_SET_GRAPHS = {
+    "octahedron": octahedron, "icosahedron": icosahedron, "16-cell": sixteen_cell,
+    "wheel(7)": lambda: wheel(7), "cross_polytope(4)": lambda: cross_polytope(4),
+    "grid": lambda: kuhn_grid(2, (3, 3)), "torus": lambda: kuhn_grid(2, (4, 4), periodic=True),
+    "random_sphere(1, 40)": lambda: random_sphere(1, 40),
+    "random_sphere(2, 80)": lambda: random_sphere(2, 80),
+    "suspension(random_sphere(3, 30))": lambda: suspension(random_sphere(3, 30)),
+    "suspension(suspension(cycle(9)))": lambda: suspension(suspension(cycle(9))),
+    "barycentric(16-cell)": lambda: barycentric(sixteen_cell()).graph,
+}
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("name", VERTEX_SET_GRAPHS)
+def test_vertex_sets_match_the_induced_graphs(name, cached):
+    rng = random.Random(name)
+    ref = VERTEX_SET_GRAPHS[name]()
+    f = random_injective(rng, ref.n)
+
+    def graph():
+        g = VERTEX_SET_GRAPHS[name]()
+        if cached:
+            g.simplices()
+        return g
+
+    assert ph_sum_check(graph(), f) == _induced_ph_sum_check(ref, f)
+    g = graph()
+    for x in range(g.n):
+        r = ph_index(g, f, x)
+        lower, index, symmetric, kind = _induced_ph_index(ref, f, x)
+        assert (r.vertex, r.index, r.symmetric, r.classification) == (x, index, symmetric, kind)
+        # the same graph; built in one step rather than two, its neighbour
+        # sets can iterate in another order, so they are compared as sets
+        s = r.sublevel
+        assert (s.n, s.labels, s.coordinates) == (lower.n, lower.labels, lower.coordinates)
+        assert list(map(set, s.neighbors)) == list(map(set, lower.neighbors))
+        b, want = central_surface(g, f, x), _induced_central_surface(ref, f, x)
+        assert same_graph(want.graph, b.graph)
+        assert (b.origin, b.functions, b.levels) == (want.origin, want.functions, want.levels)
+    by_degree = sorted(range(g.n), key=g.degree)
+    for x in {by_degree[0], by_degree[-1], 0}:
+        seed = rng.randrange(1000)
+        assert index_expectation(g, x, 40, seed) == _induced_index_expectation(ref, x, 40, seed)
+        if g.degree(x) <= 12:
+            assert index_expectation_exact(g, x) == _induced_index_expectation_exact(ref, x)
+        else:
+            with pytest.raises(InputError):
+                index_expectation_exact(g, x)
+    assert (g._simplices is not None) == cached

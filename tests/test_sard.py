@@ -5,7 +5,8 @@ Validates:
     - order asymmetry of the antisymmetric eigenvector pair
     - stagewise excluded values exactly flag the incompatible levels
     - k=d pipelines ending in a 0-graph
-    - perturbed levels and error reporting
+    - perturbed levels and error reporting; a perturbed stage cuts the
+      simplices its level moved up by 2^-64 cuts
 """
 
 import random
@@ -17,7 +18,8 @@ import pytest
 from levelgraph.core import SimplicialGraph
 from levelgraph.catalog import cross_polytope, octahedron
 from levelgraph.errors import ConstantExtension, EmptyStage, IncompatibleLevel
-from levelgraph.sard import EPSILON, extend_by_support, sard_pipeline
+from levelgraph.levelset import level_surface
+from levelgraph.sard import extend_by_support, sard_pipeline
 from levelgraph.topology import is_dgraph
 
 from conftest import gap_level, paper_octahedron, random_injective
@@ -111,7 +113,39 @@ def test_perturb_recovers():
     assert not trace.stages[0].perturbed
     assert trace.stages[0].level == 2
     assert trace.stages[1].perturbed
-    assert trace.stages[1].level == 10 + EPSILON
+    # the middle of the gap between 10 and the least stage value above it, 11
+    assert trace.stages[1].level == Fraction(21, 2)
+
+
+def assert_cut_as_by_a_tiny_step(trace, levels):
+    """Each perturbed stage keeps the origin that its requested level plus
+    2^-64 cuts from the stage's input, so moving to the middle of the gap
+    cuts what a step far below any gap cuts."""
+    current = trace.graph
+    for stage, c in zip(trace.stages, levels):
+        if stage.perturbed:
+            tiny = level_surface(current, stage.input_values, Fraction(c) + Fraction(1, 2 ** 64))
+            assert stage.surface.origin == tiny.origin
+        current = stage.surface.graph
+
+
+def test_perturbed_levels_cut_as_a_tiny_step_does(rng):
+    g = paper_octahedron()
+    trace = sard_pipeline(g, [F, F], [2, 10], perturb=True)
+    assert_cut_as_by_a_tiny_step(trace, [2, 10])
+    # small integer values and levels, so that most stages hit their value set
+    g = cross_polytope(3)
+    perturbed = 0
+    for _ in range(40):
+        fs = [[rng.randint(-2, 2) for _ in range(g.n)] for _ in range(3)]
+        levels = [rng.randint(-1, 1) for _ in range(3)]
+        try:
+            trace = sard_pipeline(g, fs, levels, perturb=True)
+        except (ConstantExtension, EmptyStage):
+            continue
+        assert_cut_as_by_a_tiny_step(trace, levels)
+        perturbed += sum(stage.perturbed for stage in trace.stages)
+    assert perturbed >= 10
 
 
 def test_constant_extension():

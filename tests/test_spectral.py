@@ -1,18 +1,25 @@
-"""Laplacian spectra, nodal reports and ground-state nodal surfaces."""
+"""Laplacian spectra, nodal reports and ground-state nodal surfaces.
 
+signed_components counts the components of vertex sets of the graph; it is
+checked against a copy that builds each side as an induced graph.
+"""
+
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from levelgraph import spectral
-from levelgraph.catalog import cross_polytope, icosahedron, octahedron, wheel
+from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid, octahedron,
+                                random_sphere, suspension, wheel)
 from levelgraph.core import SimplicialGraph, disjoint_union
 from levelgraph.errors import ConvergenceFailure, InputError, ZeroOnVertex
 from levelgraph.refine import barycentric
-from levelgraph.spectral import (eigenfunction_principle_check, ground_state_surface,
-                                 nodal_report, spectrum_of)
-from levelgraph.topology import is_dgraph
+from levelgraph.spectral import (ZERO_TOL, eigenfunction_principle_check,
+                                 ground_state_surface, nodal_report, signed_components,
+                                 spectrum_of)
+from levelgraph.topology import components, is_dgraph
 
 TOL = 1e-8
 
@@ -57,6 +64,29 @@ def test_zero_multiplicity_counts_components():
     g = disjoint_union(octahedron(), wheel(7))
     eig = spectrum_of(g).eigenvalues
     assert sum(1 for x in eig if abs(x) < TOL) == 2
+
+
+def _induced_signed_components(g, values):
+    pos = [v for v in range(g.n) if values[v] > ZERO_TOL]
+    neg = [v for v in range(g.n) if values[v] < -ZERO_TOL]
+    return len(components(g.induced(pos))), len(components(g.induced(neg)))
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_signed_components_match_the_induced_graphs(cached):
+    rng = random.Random(23)
+    graphs = [octahedron(), wheel(7), kuhn_grid(2, (5, 5)), random_sphere(4, 60),
+              suspension(random_sphere(5, 30)), barycentric(cross_polytope(3)).graph,
+              disjoint_union(cycle(8), icosahedron()), SimplicialGraph(0, [])]
+    for g in graphs:
+        if cached:
+            g.simplices()
+        for _ in range(10):
+            # about a third of the entries near zero, so both sides split up
+            values = [rng.choice((-1, 1)) * rng.random() * rng.choice((1, 1, 1e-10))
+                      for _ in range(g.n)]
+            assert signed_components(g, values) == _induced_signed_components(g, values)
+        assert (g._simplices is not None) == cached
 
 
 def _laplacian(g):

@@ -7,6 +7,8 @@ Validates:
       and float points
     - circle and sphere triangulations verifying as 1- and 2-graphs
     - the singular cross x*y = 0 failing regularity with a witness
+    - a level on the lattice moves to the middle of the gap above it, and
+      cuts what a step up by 2^-64 cuts
     - domain validation and step divisibility
     - the benchmark's four varieties and lattice cases (shifted origins,
       steps 1/3 and 2/7, floats, ^0, the expressions at the caps, zeros on
@@ -28,10 +30,11 @@ from levelgraph.catalog import MAX_EDGES
 from levelgraph.errors import InputError, UnparsablePolynomial
 from levelgraph.graphdoc import MAX_VERTICES
 from levelgraph.topology import components, is_dgraph
-from levelgraph.sard import EPSILON, sard_pipeline
+from levelgraph.sard import sard_pipeline
 from levelgraph.variety import MAX_EXPONENT, MAX_NODES, parse_polynomial, triangulate_variety
 
 from conftest import fraction_polynomial, kuhn_grid_by_edges, same_graph
+from test_sard import assert_cut_as_by_a_tiny_step
 
 
 def test_parse_and_evaluate():
@@ -182,11 +185,12 @@ def test_singular_cross_fails_with_witness():
     assert s.verdict.witness is not None
 
 
-def test_perturbation_is_tiny():
+def test_perturbation_is_the_gap_midpoint():
     tr = triangulate_variety(["x*y"], [(-2, 2), (-2, 2)], Fraction(1, 2))
     s = tr.stages[-1]
-    assert s.level != 0
-    assert abs(s.level) <= 3 * EPSILON
+    # the values are multiples of 1/4, so 0 moves to the middle of (0, 1/4)
+    assert min(x for x in s.excluded if x > 0) == Fraction(1, 4)
+    assert s.level == Fraction(1, 8)
 
 
 def test_two_constraints_curve():
@@ -257,6 +261,41 @@ def test_varieties_match_the_edge_list_grid(name):
         assert new_stage.support == old_stage.support
         assert same_graph(old_stage.surface.graph, new_stage.surface.graph)
         assert new_stage.verdict == old_stage.verdict
+
+
+# every case above whose first level is perturbed, and the varieties of the
+# CLI goldens, which all hit their level 0 at lattice points; nested-at-cap
+# has the value 2^-64 itself, so its test follows
+PERTURBED_VARIETIES = {name: case[:3] for name, case in LATTICE_VARIETIES.items()
+                       if case[3] and name != "nested-at-cap"}
+PERTURBED_VARIETIES.update({
+    "cross": (["x*y"], [(-2, 2)] * 2, Fraction(1, 2)),
+    "circle": (["x^2+y^2-2"], [(-2, 2)] * 2, Fraction(1, 2)),
+    "sphere-on-lattice": (["x^2+y^2+z^2-2"], [(-2, 2)] * 3, Fraction(1, 2)),
+    "curve-on-lattice": (["x^2+y^2+z^2-2", "x+1/3*y+1/7*z-1/5"], [(-2, 2)] * 3,
+                         Fraction(1, 2)),
+})
+
+
+@pytest.mark.parametrize("name", PERTURBED_VARIETIES)
+def test_perturbed_stages_cut_as_a_tiny_step_does(name):
+    polys, box, step = PERTURBED_VARIETIES[name]
+    trace = triangulate_variety(polys, box, step)
+    assert trace.stages[0].perturbed
+    assert_cut_as_by_a_tiny_step(trace, [0] * len(polys))
+
+
+def test_a_value_within_2_to_the_minus_64_keeps_its_side():
+    # (x^8)^8 is 2^-64 at x = +-1/2 (vertices 3 and 5; x = 0 is vertex 4).
+    # Stepping 0 up by 2^-64 until it left the value set gave 2^-63, which
+    # put x = +-1/2 below the level and cut edges (2, 3) and (5, 6); the
+    # middle of the gap (0, 2^-64) leaves them above, on the side of their
+    # value, and cuts the two edges at x = 0.
+    polys, box, step, _ = LATTICE_VARIETIES["nested-at-cap"]
+    s = triangulate_variety(polys, box, step).stages[0]
+    assert min(x for x in s.excluded if x > 0) == Fraction(1, 2 ** 64)
+    assert s.level == Fraction(1, 2 ** 65)
+    assert s.surface.origin == ((3, 4), (4, 5))
 
 
 def test_step_must_divide_box():
