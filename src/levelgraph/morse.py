@@ -7,7 +7,8 @@ K(x) = 1 - v0/2 + v1/3 - v2/4 + ... built from the f-vector of S(x), and
 K(x) equals the expectation of the symmetric index over random orderings
 of the closed ball around x.  Subsets of S(x) are vertex sets of g (chi
 from core._euler_of); only ph_index's sublevel and the sphere that
-central_surface cuts are built as graphs.
+central_surface cuts are built as graphs, and ph_index reads its index
+from the sublevel's complex, which its classification reuses.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def ph_index(g: SimplicialGraph, f: Sequence, x: int,
     """
     below = _split(g, as_fraction_vector(f, g.n), x)
     lower = g.induced(below)
-    index = 1 - _euler_of(g, below)
+    # the complex of lower is cached, so the checks below reuse it
+    index = 1 - euler_characteristic(lower)
     symmetric = _symmetric_value(g, x, {frozenset(below): 1 - index}, below)
     d = g.dimension()
     if is_sphere(lower, d - 1, budget=budget).ok:

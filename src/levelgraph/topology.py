@@ -50,11 +50,31 @@ expansion); otherwise one expansion is spent, and x is the witness if a
 link at x walked on its turn is not a circle of length >= 4 (those walked
 earlier were circles, or the pass would have stopped) or if |S(x)| - sum/6
 != 2.  The pass stops at the least such x and stores one int per vertex.
+
+The peel (G-x for a sphere, the graph itself for a contractible graph) is
+a depth-first search over removal sequences.  At each vertex set A it tries
+the vertices by degree in A, then by number, and goes on to A-{x} for the
+first x whose S(x) is contractible; a set memoized False is skipped.  From
+each set the loop in _peel enters, _walk takes that first branch as a
+worklist.  It keeps each vertex's degree in A, a count of vertices per
+degree (A is a cone iff some vertex has degree |A|-1) and a heap of the
+vertices still to test, keyed (degree, vertex).  A removal then costs
+O(deg x log n) besides the copy of A that the memo is keyed by, where the
+search re-sorted and rescanned all of A.  A vertex whose S(x) failed is
+tested again only after a neighbour goes: until then S(x) is the same set,
+its failure is memoized, and testing it again changes nothing.  A vertex
+skipped because the memo holds A-{x} False is tested again after the next
+removal.  So the walk makes the search's link checks, spends and memo
+writes, in its order (tests/test_topology.py compares the two).  When no
+vertex is left to test, the walk hands the loop the path the search would
+hold there: each set it left with an iterator over the rest of its order,
+and the stalled set with none.  The loop backtracks from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .core import SimplicialGraph, euler_characteristic
@@ -197,22 +217,76 @@ def _order(base, active) -> list[int]:
 # -- contractibility ---------------------------------------------------------
 
 
-def _removals(base, active, budget):
-    """active - {x} for each x, in _order, whose unit sphere S(x) is contractible."""
-    for x in _order(base, active):
-        sphere = base.neighbors[x] & active
-        # a contractible S(x) is nonempty and connected, so G-x stays connected
-        if sphere and _connected(base, sphere) and _contractible(base, sphere, budget):
+def _removable(base, sphere, budget) -> bool:
+    # a contractible S(x) is nonempty and connected, so G-x stays connected
+    return bool(sphere) and _connected(base, sphere) and _contractible(base, sphere, budget)
+
+
+def _removals(base, active, budget, after):
+    """active - {x} for each x after `after` in _order whose unit sphere S(x)
+    is contractible: the rest of a walked set's removals."""
+    order = _order(base, active)
+    for x in order[order.index(after) + 1:]:
+        if _removable(base, base.neighbors[x] & active, budget):
             yield active - {x}
+
+
+def _walk(base, active, budget, path) -> bool:
+    """The search's first branch from the entered set active, as the module
+    docstring describes it; True when a removal reaches a cone or a set
+    memoized True.  Each set the walk leaves goes on path with the rest of
+    its removals, and the last set with none."""
+    nbrs, memo = base.neighbors, budget.memo
+    degree = {v: len(nbrs[v] & active) for v in active}
+    count = [0] * len(active)  # vertices per degree; none has len(active) - 1
+    for k in degree.values():
+        count[k] += 1
+    heap = [(k, v) for v, k in degree.items()]
+    heapify(heap)
+    skipped = []
+    path.append((active, iter(())))
+    while heap:
+        k, x = heappop(heap)
+        if degree.get(x) != k:
+            continue  # x is gone, or lost a neighbour and has a later entry
+        sphere = nbrs[x] & active
+        if not _removable(base, sphere, budget):
+            continue
+        cone = len(active) - 2  # the degree of a cone point of active - {x}
+        if count[cone] - (k == cone) - sum(degree[y] == cone for y in sphere):
+            return True
+        rest = active - {x}
+        if rest in memo:
+            if memo[rest]:
+                return True
+            skipped.append(x)
+            continue
+        budget.spend()
+        path[-1] = (active, _removals(base, active, budget, x))
+        path.append((rest, iter(())))
+        active = rest
+        del degree[x]
+        count[k] -= 1
+        for y in sphere:
+            count[degree[y]] -= 1
+            degree[y] -= 1
+            count[degree[y]] += 1
+            heappush(heap, (degree[y], y))
+        for y in skipped:
+            if y not in sphere:
+                heappush(heap, (degree[y], y))
+        skipped = []
+    return False
 
 
 def _peel(base, starts, budget) -> bool:
     """Whether some vertex set from starts reaches a point by removals.
 
     A depth-first search whose path is a list of (vertex set, iterator of its
-    removals), so Python's stack does not grow with the number of vertices.
-    Each set entered spends one expansion; a set whose removals all fail is
-    memoized False, and on success every set on the path is memoized True."""
+    removals), so Python's stack does not grow with the number of vertices;
+    _walk takes the first branch from each set the loop enters.  Each set
+    entered spends one expansion; a set whose removals all fail is memoized
+    False, and on success every set on the path is memoized True."""
     path = [(None, starts)]
     while path:
         nxt = next(path[-1][1], None)
@@ -221,12 +295,15 @@ def _peel(base, starts, budget) -> bool:
             if path:
                 budget.memo[active] = False
         elif _dominating(base, nxt) or budget.memo.get(nxt):
-            budget.memo.update((active, True) for active, _ in path[1:])
-            return True
+            break
         elif nxt not in budget.memo:
             budget.spend()
-            path.append((nxt, _removals(base, nxt, budget)))
-    return False
+            if _walk(base, nxt, budget, path):
+                break
+    else:
+        return False
+    budget.memo.update((active, True) for active, _ in path[1:])
+    return True
 
 
 def _contractible(base, active, budget) -> bool:

@@ -18,6 +18,8 @@ Validates:
       spend expansions
     - importing the package leaves the recursion limit alone, and the
       removal search runs far deeper than the Python stack it is given
+    - the worklist peel makes the spends and memo writes of the depth-first
+      search it replaces, and large spheres keep their reports
 """
 
 import json
@@ -32,6 +34,7 @@ from levelgraph.core import SimplicialGraph, disjoint_union, join
 from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid,
                                 octahedron, random_sphere, sixteen_cell, suspension, wheel)
 from levelgraph.refine import barycentric
+from levelgraph import topology
 from levelgraph.topology import components, is_contractible, is_dgraph, is_sphere
 
 
@@ -461,3 +464,167 @@ def test_removal_search_is_not_bounded_by_the_python_stack():
     contractible 3-ball of 216 are peeled vertex by vertex: the search keeps
     its path on a list, and Python recursion grows with the dimension only."""
     assert _fresh_interpreter(DEEP_SEARCHES) == [["yes", 1167], ["yes", 237]]
+
+
+# -- the worklist peel replays the depth-first search -----------------------------
+# The peel as a plain depth-first search: every set it enters is sorted by
+# _order, and every removal it yields is scanned by _dominating.  The worklist
+# in topology._walk must make the same link checks, spends and memo writes.
+
+def _search_peel(base, starts, budget):
+    path = [(None, starts)]
+    while path:
+        nxt = next(path[-1][1], None)
+        if nxt is None:
+            active, _ = path.pop()
+            if path:
+                budget.memo[active] = False
+        elif topology._dominating(base, nxt) or budget.memo.get(nxt):
+            budget.memo.update((active, True) for active, _ in path[1:])
+            return True
+        elif nxt not in budget.memo:
+            budget.spend()
+            path.append((nxt, _search_removals(base, nxt, budget)))
+    return False
+
+
+def _search_removals(base, active, budget):
+    for x in topology._order(base, active):
+        sphere = base.neighbors[x] & active
+        if (sphere and topology._connected(base, sphere)
+                and topology._contractible(base, sphere, budget)):
+            yield active - {x}
+
+
+class _LoggedMemo(dict):
+    """A memo that starts from planted entries, logs every write and notes
+    each planted key that a lookup reads."""
+
+    def __init__(self, events, planted):
+        super().__init__(planted)
+        self.events, self.planted, self.read = events, planted, set()
+
+    def _note(self, key):
+        if key in self.planted:
+            self.read.add(key)
+
+    def __setitem__(self, key, value):
+        self.events.append(("memo", key, value))
+        super().__setitem__(key, value)
+
+    def update(self, pairs):
+        for key, value in pairs:
+            self[key] = value
+
+    def get(self, key, default=None):
+        self._note(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self._note(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self._note(key)
+        return super().__getitem__(key)
+
+
+def _logged_run(monkeypatch, peel, check, g, args, budget, planted=None):
+    """(vars of the report, the spends and memo writes in order, the planted
+    keys read) of check(g, *args, budget=budget) with _peel set to peel."""
+    events, memos = [], []
+
+    class Logged(topology._Budget):
+        def __init__(self, remaining):
+            super().__init__(remaining, memo=_LoggedMemo(events, dict(planted or {})))
+            memos.append(self.memo)
+
+        def spend(self):
+            super().spend()
+            events.append(("spend",))
+
+    with monkeypatch.context() as m:
+        m.setattr(topology, "_Budget", Logged)
+        m.setattr(topology, "_peel", peel)
+        report = vars(check(g, *args, budget=budget))
+    return report, events, memos[0].read
+
+
+REPLAY_BUDGETS = (0, 1, 7, 60, 3000)
+
+
+def _replay_cases():
+    """(check, graph, args) for every call that reaches the peel: is_contractible,
+    is_sphere for d >= 3 and is_dgraph for d = 4."""
+    from test_verifier_golden import corpus
+    graphs = list(corpus().values()) + [g for g, _ in _differential_cases()]
+    graphs += _two_sphere_cases()
+    seeded = [suspension(random_sphere(seed, 60)) for seed in (7, 8, 9, 10)]
+    seeded += [random_sphere(seed, 30) for seed in (7, 8, 9)]
+    graphs += seeded + [g.induced(range(1, g.n)) for g in seeded]
+    for g in graphs:
+        yield is_contractible, g, ()
+        yield is_sphere, g, (3,)
+    for g in (cross_polytope(4), suspension(sixteen_cell()), suspension(suspension(icosahedron())),
+              join(cycle(4), cycle(5)), barycentric(cross_polytope(4)).graph):
+        yield is_sphere, g, (4,)
+        yield is_dgraph, g, (4,)
+
+
+def test_worklist_peel_replays_the_search(monkeypatch):
+    """Every report, spend and memo write of the worklist peel is the search's,
+    at every budget, also when the memo holds planted False entries for sets
+    on the way; both the memo skip and the hand-over to the loop run, the
+    hand-over also without planted entries (rp2_with_strip backtracks)."""
+    yields = []
+
+    def counted_removals(*args):
+        for rest in removals(*args):
+            yields.append(rest)
+            yield rest
+    removals = topology._removals
+    monkeypatch.setattr(topology, "_removals", counted_removals)
+    runs = backtracks = planted_runs = skips = 0
+    for check, g, args in _replay_cases():
+        for budget in REPLAY_BUDGETS:
+            case = (check.__name__, g.n, args, budget)
+            want = _logged_run(monkeypatch, _search_peel, check, g, args, budget)
+            stalled = len(yields)
+            got = _logged_run(monkeypatch, topology._peel, check, g, args, budget)
+            assert got == want, case
+            runs += 1
+            backtracks += len(yields) > stalled
+            if budget < 60 or check is is_dgraph or want[0]["verdict"] != "yes":
+                continue
+            # the sets of the path from the first set entered to a cone: the
+            # last ones memoized True, from the largest
+            trues = [e[1] for e in want[1] if e[0] == "memo" and e[2] is True]
+            path = trues[trues.index(max(trues, key=len)):] if trues else []
+            if len(path) < 2:
+                continue
+            # the first removal's set, then every third set of the path, as False
+            planted = dict.fromkeys(path[1:2] + path[3::3], False)
+            want = _logged_run(monkeypatch, _search_peel, check, g, args, budget, planted)
+            got = _logged_run(monkeypatch, topology._peel, check, g, args, budget, planted)
+            assert got == want, case + ("planted",)
+            # in is_contractible only the walk from the whole graph looks up
+            # a set one vertex smaller
+            skips += check is is_contractible and path[1] in got[2]
+            planted_runs += 1
+    assert runs >= 1000 and planted_runs >= 40 and skips >= 20
+    # a walk stalled and the loop found another branch on the path it was
+    # handed: rp2_with_strip, barycentric(16-cell) and barycentric(cross_polytope(4))
+    assert backtracks >= 5
+
+
+def test_large_spheres_keep_their_reports():
+    """The verdicts and expansion counts of the search before the worklist, at
+    a size where re-sorting every nested set took seconds."""
+    cases = [
+        (is_sphere, barycentric(barycentric(sixteen_cell()).graph).graph, 3, 12_628),
+        (is_sphere, suspension(random_sphere(3, 800)), 3, 3_924),
+        (is_dgraph, barycentric(cross_polytope(4)).graph, 4, 16_478),
+    ]
+    for check, g, d, expansions in cases:
+        r = check(g, d)
+        assert (r.verdict, r.witness, r.expansions) == ("yes", None, expansions), (g.n, d)
