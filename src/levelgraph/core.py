@@ -14,10 +14,10 @@ Every graph is assembled in one place, SimplicialGraph._assemble, from one
 neighbour set per vertex; the assembly checks labels and coordinates for
 their length.  Each edge or set is checked once for self loops and ids out
 of range (negative ones too): the public constructor checks its edge list
-(and a nonnegative count) and turns coordinates into float tuples
-(_float_points); induced, refine.containment_graph and catalog.kuhn_grid
-fill neighbour sets themselves and call _from_neighbors, which checks the
-sets.
+(and a nonnegative count) and turns coordinates into float tuples of one
+length (_float_points); induced, refine.containment_graph and
+catalog.kuhn_grid fill neighbour sets themselves and call _from_neighbors,
+which checks the sets.
 """
 
 from __future__ import annotations
@@ -225,10 +225,16 @@ class SimplicialGraph:
 
 
 def _float_points(coordinates: Optional[Sequence[Sequence[float]]]):
-    """Coordinates as a tuple of float tuples, the form a graph holds; None stays None."""
+    """Coordinates as a tuple of float tuples, the form a graph holds; None stays None.
+
+    Every point must have the same length: interpolation and centroids work
+    coordinate by coordinate, and a short point would cut or break them."""
     if coordinates is None:
         return None
-    return tuple(tuple(float(c) for c in p) for p in coordinates)
+    points = tuple(tuple(float(c) for c in p) for p in coordinates)
+    if len({len(p) for p in points}) > 1:
+        raise InputError("coordinates differ in length")
+    return points
 
 
 def euler_characteristic(g: SimplicialGraph) -> int:

@@ -116,7 +116,7 @@ def interpolate_coordinates(g: SimplicialGraph, origin: Sequence[Simplex],
 
 def _interpolate(g, origin, functions, levels, belows) -> tuple[tuple[float, ...], ...]:
     """interpolate_coordinates, given for each level the set of vertices below it."""
-    dim = len(g.coordinates[0])
+    coords = g.coordinates
     # per constraint: crossing points by edge, computed once
     cuts = [({}, values, c.numerator, c.denominator, below)
             for values, c, below in zip(functions, levels, belows)]
@@ -135,12 +135,13 @@ def _interpolate(g, origin, functions, levels, belows) -> tuple[tuple[float, ...
                     num = (cn * da - na * cd) * db
                     den = (nb * da - na * db) * cd
                     t = num / den if den > 0 else -num / -den
-                    pa, pb = g.coordinates[a], g.coordinates[b]
-                    p = memo[a, b] = tuple(pa[k] + t * (pb[k] - pa[k]) for k in range(dim))
+                    # by columns, each from a list: quicker than a generator, same floats
+                    p = memo[a, b] = tuple([u + t * (w - u) for u, w in zip(coords[a], coords[b])])
                 crossings.append(p)
         if not crossings:
             raise InputError(f"origin simplex {simplex} has no sign-changing edge")
-        points.append(tuple(sum(p[k] for p in crossings) / len(crossings) for k in range(dim)))
+        m = len(crossings)
+        points.append(tuple([sum(column) / m for column in zip(*crossings)]))
     return tuple(points)
 
 

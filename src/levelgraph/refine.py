@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import Simplex, SimplicialGraph, _float_points
+from .core import Simplex, SimplicialGraph
 from .rational import as_fraction_vector
 
 
@@ -26,12 +26,16 @@ class RefinedGraph:
 
 
 def containment_graph(origin: Sequence[Simplex], min_dim: int = 0,
-                      coordinates: Optional[Sequence[Sequence[float]]] = None) -> SimplicialGraph:
+                      coordinates: Optional[Sequence[tuple[float, ...]]] = None
+                      ) -> SimplicialGraph:
     """The graph on distinct simplices joined by strict containment.
 
     Vertex i is origin[i] and is labeled by it.  Each simplex is joined to
     those of its faces that have dimension at least min_dim and appear in
-    origin; faces below min_dim are not looked up.
+    origin; faces below min_dim are not looked up.  Coordinates, when
+    given, are already the form a graph holds: one tuple of floats per
+    simplex, all of one length, as barycentric and levelset compute them
+    from a parent graph's.  They are kept as given, not converted again.
     """
     index = {s: i for i, s in enumerate(origin)}
     nbrs = [set() for _ in origin]
@@ -42,7 +46,7 @@ def containment_graph(origin: Sequence[Simplex], min_dim: int = 0,
                 if j is not None:
                     nbrs[j].add(i)
                     nbrs[i].add(j)
-    return SimplicialGraph._from_neighbors(nbrs, origin, _float_points(coordinates))
+    return SimplicialGraph._from_neighbors(nbrs, origin, coordinates)
 
 
 def barycentric(g: SimplicialGraph) -> RefinedGraph:
@@ -51,13 +55,10 @@ def barycentric(g: SimplicialGraph) -> RefinedGraph:
     New coordinates, when the parent carries any, are simplex centroids.
     """
     origin = tuple(s for group in g.simplices() for s in group)
-    coords = None
-    if g.coordinates is not None:
-        coords = [
-            tuple(sum(g.coordinates[v][k] for v in s) / len(s)
-                  for k in range(len(g.coordinates[0])))
-            for s in origin
-        ]
+    coords, points = None, g.coordinates
+    if points is not None:
+        coords = [tuple([sum(column) / len(s) for column in zip(*[points[v] for v in s])])
+                  for s in origin]
     return RefinedGraph(containment_graph(origin, 0, coords), g, origin)
 
 

@@ -67,7 +67,9 @@ def sard_pipeline(g: SimplicialGraph, fs: Sequence[Sequence],
     above it (up by 1 when none is above), which cuts what any small step
     up cuts, with crossing points clear of the vertices, and the stage
     records that it was perturbed.  Stage 1 needs no extension: its
-    supports are the singletons (v,), so it reads fs[0] as it is.
+    supports are the singletons (v,), so it reads fs[0] as it is, and the
+    sorted flattening of the singletons of an origin simplex is the simplex
+    itself, so the stage-1 supports are the surface's origin.
     """
     k = len(fs)
     d = g.dimension()
@@ -81,7 +83,7 @@ def sard_pipeline(g: SimplicialGraph, fs: Sequence[Sequence],
     levels = [as_fraction(c) for c in cs]
 
     current = g
-    supports: list[Support] = [(v,) for v in range(g.n)]
+    supports: tuple[Support, ...] = ()  # stage 1 reads none
     stages: list[SardStage] = []
     for i in range(k):
         stage = i + 1
@@ -100,12 +102,12 @@ def sard_pipeline(g: SimplicialGraph, fs: Sequence[Sequence],
         surface = level_surface(current, values, c)
         if surface.graph.n == 0:
             raise EmptyStage(stage, c)
-        new_supports = tuple(
+        new_supports = surface.origin if i == 0 else tuple(
             tuple(sorted(chain.from_iterable(supports[u] for u in origin)))
             for origin in surface.origin)
         verdict = is_dgraph(surface.graph, d - stage, budget=budget)
         stages.append(SardStage(stage, c, perturbed, tuple(values), excluded,
                                 surface, new_supports, verdict))
         current = surface.graph
-        supports = list(new_supports)
+        supports = new_supports
     return SardTrace(g, d, tuple(stages))

@@ -43,13 +43,26 @@ this rule; the pass below decides the 2-sphere unit spheres of 3-graphs.
 When every S(x) of a graph must be a 2-sphere (is_dgraph(., 3), and the
 unit sphere check of every 3-sphere, also inside a 4-sphere), the rule
 runs as one pass over the vertices in increasing order, so each edge link
-S(x) & S(y) is walked once, on the turn of the lesser end.  Its size adds
-to a sum for both ends, and when x's turn comes the sum is complete and
-equals 2 E(S(x)).  x is the witness if S(x) is empty or disconnected (no
-expansion); otherwise one expansion is spent, and x is the witness if a
-link at x walked on its turn is not a circle of length >= 4 (those walked
+L = S(x) & S(y) is decided once, on the turn of the lesser end.  Its size
+adds to a sum for both ends, and when x's turn comes the sum is complete
+and equals 2 E(S(x)).  x is the witness if S(x) is empty or disconnected
+(no expansion); otherwise one expansion is spent, and x is the witness if
+a link decided on its turn is not a circle of length >= 4 (those decided
 earlier were circles, or the pass would have stopped) or if |S(x)| - sum/6
 != 2.  The pass stops at the least such x and stores one int per vertex.
+
+A link is decided from the links of its triangles, L & S(z) for z in L,
+and walked only when it is large.  Lemma: if every z in L has exactly two
+neighbours in L, and they are not adjacent, then L is a disjoint union of
+cycles of length >= 4; two of them need 8 vertices, so L is one circle
+when |L| < 8.  On x's turn a link with |L| < 4 fails, one with |L| >= 8 is
+walked by _cycle, and in the others each triangle xyz with y < z is
+checked.  Every triangle xyz with x < y < z is so checked, or lies in a
+walked link of x, and one whose least vertex came earlier lay in a link
+that passed then: so x fails on its turn exactly when some link at x is
+not a circle of length >= 4, with the same spends and the same sums.  A
+triangle is one set intersection, where walking each link met each
+triangle three times.
 
 The peel (G-x for a sphere, the graph itself for a contractible graph) is
 a depth-first search over removal sequences.  At each vertex set A it tries
@@ -288,21 +301,25 @@ def _peel(base, starts, budget) -> bool:
     entered spends one expansion; a set whose removals all fail is memoized
     False, and on success every set on the path is memoized True."""
     path = [(None, starts)]
+    memo = budget.memo
     while path:
         nxt = next(path[-1][1], None)
         if nxt is None:
             active, _ = path.pop()
             if path:
-                budget.memo[active] = False
-        elif _dominating(base, nxt) or budget.memo.get(nxt):
+                memo[active] = False
+        elif nxt in memo:  # a set memoized False was entered, so it is no cone
+            if memo[nxt]:
+                break
+        elif _dominating(base, nxt):
             break
-        elif nxt not in budget.memo:
+        else:
             budget.spend()
             if _walk(base, nxt, budget, path):
                 break
     else:
         return False
-    budget.memo.update((active, True) for active, _ in path[1:])
+    memo.update((active, True) for active, _ in path[1:])
     return True
 
 
@@ -375,17 +392,30 @@ def _bad_link(base, active, d, budget) -> Optional[int]:
             if _sphere(base, base.neighbors[x] & active, d - 1, budget) is not None:
                 return x
         return None
+    nbrs = base.neighbors
     twice_edges = dict.fromkeys(active, 0)  # sum of |link(xy)|: 2 E(S(x)) on x's turn
     for x in sorted(active):
-        sphere = base.neighbors[x] & active
+        sphere = nbrs[x] & active
         if not sphere or not _connected(base, sphere):
             return x
         budget.spend()
         for y in sphere:
             if y > x:
-                link = sphere & base.neighbors[y]
-                if _cycle(base, link) is None:
+                link = sphere & nbrs[y]
+                if len(link) < 4:
                     return x
+                if len(link) >= 8:  # two cycles of length >= 4 fit: walk it
+                    if _cycle(base, link) is None:
+                        return x
+                else:
+                    for z in link:
+                        if z > y:
+                            pair = link & nbrs[z]  # the link of the triangle xyz
+                            if len(pair) != 2:
+                                return x
+                            a, b = pair
+                            if b in nbrs[a]:
+                                return x
                 twice_edges[x] += len(link)
                 twice_edges[y] += len(link)
         if len(sphere) - twice_edges[x] // 6 != 2:

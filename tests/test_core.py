@@ -4,7 +4,7 @@ Validates:
     - adjacency/induced bookkeeping, the unit sphere as an induced graph
     - the edge-list constructor and the neighbour-set assembly reject the same
       bad input: self loops, ids out of range, negative counts, label and
-      coordinate lists of the wrong length
+      coordinate lists of the wrong length, points of unequal length
     - induced builds the graph its edge-list form built, bit for bit
     - clique enumeration against a subset-scan oracle
     - cliques(verts) against a filter of the complex, with it cached or not
@@ -61,6 +61,18 @@ def test_rejects_self_loops_and_range():
         if nbrs is not None:
             with pytest.raises(InputError, match=message):
                 SimplicialGraph._from_neighbors(nbrs, labels, coordinates)
+
+
+def test_rejects_points_of_unequal_length():
+    # a short point used to break barycentric and level_surface (IndexError)
+    # when it came last, and to cut every new point to its length when first
+    o = octahedron()
+    for short in (0, 5):
+        points = list(o.coordinates)
+        points[short] = points[short][:2]
+        with pytest.raises(InputError, match="coordinates differ in length"):
+            SimplicialGraph(6, o.edges(), coordinates=points)
+    assert SimplicialGraph(2, [(0, 1)], coordinates=[(), ()]).coordinates == ((), ())
 
 
 def test_neighbour_sets_assemble_the_graph_their_edges_build():

@@ -87,6 +87,12 @@ def test_coordinates_must_be_finite_numbers(text):
         loads(doc)
 
 
+def test_points_of_unequal_length_keep_the_document_message():
+    doc = '{"vertices": 2, "edges": [[0, 1]], "coordinates": [[0, 0], [1, 1, 1]]}'
+    with pytest.raises(InputError, match=r"^coordinates: entries differ in length$"):
+        loads(doc)
+
+
 def test_decimal_exponents_are_capped():
     assert as_fraction(f"1e{MAX_EXPONENT}") == 10 ** MAX_EXPONENT
     assert as_fraction(f"-2.5E-{MAX_EXPONENT}") == Fraction(-25, 10 ** (MAX_EXPONENT + 1))

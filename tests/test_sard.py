@@ -186,10 +186,12 @@ def test_full_depth_pipeline(rng):
 def test_supports_flatten_with_multiplicity():
     g = paper_octahedron()
     trace = sard_pipeline(g, [F, F], [2, Fraction(17, 2)])
-    s2 = trace.stages[1]
+    s1, s2 = trace.stages
+    # stage 1 flattens the singletons (v,) of each origin simplex: the simplex
+    assert s1.support == s1.surface.origin
     for v in range(s2.surface.graph.n):
         sup = s2.support[v]
-        assert sup == tuple(sorted(sup))
+        assert sup == tuple(sorted(w for u in s2.surface.origin[v] for w in s1.support[u]))
         assert len(sup) >= 2
 
 

@@ -10,8 +10,9 @@ Validates:
       a definitional oracle; tori and annuli are rejected without a search
     - one expansion per decided 2-sphere
     - below d = -1 every graph is rejected by its vertex count alone
-    - the d = 3 pass that walks each edge link once keeps every verdict,
-      witness and expansion count, and every budget threshold
+    - the d = 3 pass keeps every verdict, witness and expansion count, and
+      every budget threshold; reading triangle links and walking only the
+      edge links of 8 or more vertices agrees with walking every edge link
     - a verdict depends only on the graph, the dimension and the budget, not
       on earlier calls
     - only is_sphere for d >= 2, is_dgraph for d >= 3 and is_contractible
@@ -24,6 +25,7 @@ Validates:
 
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -354,6 +356,38 @@ def sixteen_cells_at_a_point(glued):
     return SimplicialGraph(15, [(swap.get(u, u), swap.get(v, v)) for u, v in edges])
 
 
+def octahedra_glued_at_poles():
+    """Two octahedra sharing the two antipodal vertices 0 and 5: connected,
+    chi = 2, every unit sphere a circle except at 0 and 5, where it is two
+    4-cycles.  In its suspension the edge from an apex to vertex 0 or 5 has
+    those two 4-cycles as its link: each triangle's link is two non-adjacent
+    vertices, and only a walk tells the link from one 8-cycle."""
+    first = octahedron().edges()
+    second = {0: 0, 5: 5, **{v: 5 + v for v in range(1, 5)}}
+    return SimplicialGraph(10, first + [(second[u], second[v]) for u, v in first])
+
+
+def capped_antiprisms_on_a_k4():
+    """The cone with apex 0 over two 2-spheres joined by a K4 on their caps.
+
+    Each 2-sphere is a square antiprism capped at both ends (caps of degree
+    4 at distance 3; the other vertices have degree 5), and the K4 joins the
+    four caps.  A cap's unit sphere in the base is its 4-cycle and the
+    triangle of the other caps: 7 vertices, each with two neighbours in it,
+    so each triangle there has two adjacent vertices as its link.  Every
+    other unit sphere of the base is a 4- or 5-cycle, and the base has
+    V - E/3 = 20 - 54/3 = 2, so S(0) fails no other check."""
+    edges = []
+    for top in (1, 11):
+        r, s = [top + 1 + i for i in range(4)], [top + 5 + i for i in range(4)]
+        for i in range(4):
+            edges += [(top, r[i]), (r[i], r[i - 1]), (r[i], s[i]), (r[i], s[(i + 1) % 4]),
+                      (s[i], s[i - 1]), (s[i], top + 9)]
+    caps = (1, 10, 11, 20)
+    edges += [(u, v) for u in caps for v in caps if u < v]
+    return SimplicialGraph(21, edges + [(0, v) for v in range(1, 21)])
+
+
 def test_three_dimensional_link_pass_keeps_every_report():
     # the verdicts, witnesses and expansions of one 2-sphere decision per
     # unit sphere; the d = 4 cases decide S(x) as 3-spheres inside a subset
@@ -368,6 +402,12 @@ def test_three_dimensional_link_pass_keeps_every_report():
         (is_sphere, suspension(random_sphere(3, 100)), 3, "yes", None, 531),
         (is_sphere, cross_polytope(4), 4, "yes", None, 46),
         (is_dgraph, suspension(suspension(icosahedron())), 4, "yes", None, 174),
+        # a triangle link is two adjacent vertices
+        (is_dgraph, capped_antiprisms_on_a_k4(), 3, "no", 0, 1),
+        # an edge link is two 4-cycles, which only the walk rejects; S(0) is
+        # connected and chi(S(0)) = 2
+        (is_dgraph, suspension(octahedra_glued_at_poles()), 3, "no", 0, 1),
+        (is_sphere, suspension(octahedra_glued_at_poles()), 3, "no", 0, 2),
     ]
     for check, g, d, verdict, witness, expansions in cases:
         case = (check.__name__, g.n, d)
@@ -376,6 +416,75 @@ def test_three_dimensional_link_pass_keeps_every_report():
         assert vars(check(g, d, budget=expansions)) == vars(r), case
         if expansions:
             assert check(g, d, budget=expansions - 1).verdict == "resource_limit", case
+
+
+def _walked_link_pass(base, active, budget):
+    """_bad_link(., 3) as it was before it read triangle links: every edge
+    link is walked by _cycle."""
+    twice_edges = dict.fromkeys(active, 0)
+    for x in sorted(active):
+        sphere = base.neighbors[x] & active
+        if not sphere or not topology._connected(base, sphere):
+            return x
+        budget.spend()
+        for y in sphere:
+            if y > x:
+                link = sphere & base.neighbors[y]
+                if topology._cycle(base, link) is None:
+                    return x
+                twice_edges[x] += len(link)
+                twice_edges[y] += len(link)
+        if len(sphere) - twice_edges[x] // 6 != 2:
+            return x
+    return None
+
+
+def _link_pass_cases():
+    """3- and 4-spheres from the catalog, seeded suspensions and joins, and
+    seeded spheres with one edge dropped or added."""
+    rng = random.Random(23)
+    threes = [sixteen_cell(), suspension(icosahedron()), barycentric(sixteen_cell()).graph,
+              join(cycle(4), cycle(5)), join(cycle(6), cycle(7))]
+    threes += [suspension(random_sphere(seed, 30)) for seed in (11, 12, 13)]
+    threes += [join(cycle(k), cycle(13 - k)) for k in (4, 5)]
+    fours = [cross_polytope(4), suspension(sixteen_cell()), suspension(suspension(icosahedron())),
+             join(cycle(4), octahedron()), join(cycle(5), random_sphere(14, 6)),
+             suspension(suspension(random_sphere(15, 10)))]
+    mutated = []
+    for g in threes + fours:
+        edges = g.edges()
+        del edges[rng.randrange(len(edges))]
+        mutated.append(SimplicialGraph(g.n, edges))
+        missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.adjacent(u, v)]
+        mutated.append(SimplicialGraph(g.n, g.edges() + [rng.choice(missing)]))
+    return threes + fours + mutated + [
+        capped_antiprisms_on_a_k4(), suspension(octahedra_glued_at_poles()),
+        sixteen_cells_at_a_point(0), sixteen_cells_at_a_point(14),
+        SimplicialGraph(5, combinations(range(5), 2))]
+
+
+def test_link_pass_agrees_with_walking_every_edge_link(monkeypatch):
+    """Reading triangle links and walking only the edge links of 8 or more
+    vertices keeps every report of walking every edge link: verdicts,
+    witnesses, expansions and the budget at which each call runs out."""
+    bad_link = topology._bad_link
+
+    def walked(base, active, d, budget):
+        if d == 3:
+            return _walked_link_pass(base, active, budget)
+        return bad_link(base, active, d, budget)
+
+    verdicts = set()
+    for g in _link_pass_cases():
+        for check, d in ((is_dgraph, 3), (is_sphere, 3), (is_dgraph, 4), (is_sphere, 4)):
+            for budget in (0, 3, 17, 100, 3000):
+                got = vars(check(g, d, budget=budget))
+                with monkeypatch.context() as m:
+                    m.setattr(topology, "_bad_link", walked)
+                    want = vars(check(g, d, budget=budget))
+                assert got == want, (check.__name__, g.n, d, budget)
+                verdicts.add((got["verdict"], type(got["witness"])))
+    assert {("yes", type(None)), ("no", int), ("resource_limit", str)} <= verdicts
 
 
 def test_torus_not_a_sphere_without_search():
