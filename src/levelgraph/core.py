@@ -4,11 +4,20 @@ A graph lives on dense vertex ids 0..n-1 and is treated as immutable after
 construction.  Simplices are the vertex sets of complete subgraphs, stored
 as strictly increasing tuples and grouped by dimension; the k-th entry of
 the f-vector counts the k-dimensional simplices.  One enumerator,
-cliques(verts), lists the simplices inside a vertex set (whose chi
-_euler_of reads from them) at a cost that follows the subgraph on verts;
-the whole complex is its result on every vertex, cached on the graph.
-The dimension needs only the largest clique, so it is found by a search
-that builds no complex when none is cached, unless the builder knew it.
+cliques(verts), lists the simplices inside a vertex set at a cost that
+follows the subgraph on verts; the whole complex is its result on every
+vertex, cached on the graph.
+
+Counting is a separate walk, _clique_counts, because a count needs no
+simplex: f_vector() and euler_characteristic read it when no complex is
+cached, and _euler_of (the chi of a vertex set) always does.  It goes
+depth first and holds one candidate list per level, so its memory is
+O(depth x degree) where a listing holds every simplex.  Listing stays
+breadth first, since it must return each dimension's group in
+lexicographic order.  The dimension needs only the largest clique, so it
+is found by a search that builds no complex when none is cached, unless
+the builder knew it; that search drops branches that cannot beat the
+largest clique found, where a count must visit every clique.
 
 Every graph is assembled in one place, SimplicialGraph._assemble, from one
 neighbour set per vertex; the assembly checks labels and coordinates for
@@ -183,7 +192,11 @@ class SimplicialGraph:
         return self._simplices if self._simplices is not None else self.cliques(range(self.n))
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.simplices())
+        """Simplex counts per dimension: read from the cached complex when
+        there is one, otherwise counted by _clique_counts without listing."""
+        if self._simplices is not None:
+            return tuple(len(g) for g in self._simplices)
+        return _clique_counts(self.neighbors, range(self.n))
 
     def dimension(self) -> int:
         """Largest simplex dimension; -1 for the empty graph.
@@ -237,14 +250,60 @@ def _float_points(coordinates: Optional[Sequence[Sequence[float]]]):
     return points
 
 
+def _clique_counts(nbrs: Sequence[frozenset], verts: Iterable[int]) -> tuple[int, ...]:
+    """The f-vector of the subgraph on verts, counted without listing a simplex.
+
+    The counts of cliques(verts), from dimension 0 to the largest clique.
+    A depth-first walk: a clique is extended by its candidates (the common
+    neighbours inside verts after its last vertex), and their number adds
+    to the count of the next dimension.  The walk holds the candidate list
+    of each clique on its path, so its memory is O(depth x degree).
+    """
+    keep = set(verts)
+    counts = [len(keep)] if keep else []
+    for v in keep:
+        cand = [u for u in nbrs[v] if u > v and u in keep]
+        if not cand:
+            continue
+        if len(counts) == 1:
+            counts.append(0)
+        counts[1] += len(cand)
+        # cand extends a clique of k - 1 vertices, and cand[i] is its next
+        # candidate; stack holds (cand, i) for the cliques on the path below
+        stack, i, k = [], 0, 2
+        while True:
+            if i + 1 < len(cand):  # cand[i] has candidates after it
+                nu = nbrs[cand[i]]
+                i += 1
+                rest = [w for w in cand[i:] if w in nu]
+                if rest:
+                    if k == len(counts):
+                        counts.append(0)
+                    counts[k] += len(rest)
+                    if len(rest) > 1:  # one candidate extends no further
+                        stack.append((cand, i))
+                        cand, i, k = rest, 0, k + 1
+            elif stack:
+                cand, i = stack.pop()
+                k -= 1
+            else:
+                break
+    return tuple(counts)
+
+
 def euler_characteristic(g: SimplicialGraph) -> int:
     """Alternating sum over the f-vector; 0 for the empty graph."""
-    return sum(count if k % 2 == 0 else -count for k, count in enumerate(g.f_vector()))
+    return _alternating_sum(g.f_vector())
 
 
 def _euler_of(g: SimplicialGraph, verts: Iterable[int]) -> int:
-    """The Euler characteristic of the subgraph of g induced on verts."""
-    return sum((-1) ** k * len(group) for k, group in enumerate(g.cliques(verts)))
+    """The Euler characteristic of the subgraph of g induced on verts,
+    counted on g's neighbour sets without listing or building anything."""
+    return _alternating_sum(_clique_counts(g.neighbors, verts))
+
+
+def _alternating_sum(f_vector: Sequence[int]) -> int:
+    return sum(count if k % 2 == 0 else -count for k, count in enumerate(f_vector))
 
 
 def _merge_labels(a: SimplicialGraph, b: SimplicialGraph):

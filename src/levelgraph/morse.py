@@ -7,8 +7,8 @@ K(x) = 1 - v0/2 + v1/3 - v2/4 + ... built from the f-vector of S(x), and
 K(x) equals the expectation of the symmetric index over random orderings
 of the closed ball around x.  Subsets of S(x) are vertex sets of g (chi
 from core._euler_of); only ph_index's sublevel and the sphere that
-central_surface cuts are built as graphs, and ph_index reads its index
-from the sublevel's complex, which its classification reuses.
+central_surface cuts are built as graphs.  Every chi here is counted
+(core._clique_counts), so no complex is listed or cached for it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def ph_index(g: SimplicialGraph, f: Sequence, x: int,
     """
     below = _split(g, as_fraction_vector(f, g.n), x)
     lower = g.induced(below)
-    # the complex of lower is cached, so the checks below reuse it
+    # chi(lower) is counted, not listed; the entry checks of is_sphere and
+    # is_contractible below count it again
     index = 1 - euler_characteristic(lower)
     symmetric = _symmetric_value(g, x, {frozenset(below): 1 - index}, below)
     d = g.dimension()
@@ -86,8 +87,12 @@ def ph_index(g: SimplicialGraph, f: Sequence, x: int,
 def ph_sum_check(g: SimplicialGraph, f: Sequence) -> tuple[int, int]:
     """(sum of indices over all vertices, Euler characteristic).
 
-    f must be locally injective on all of g; a tie raises at the
-    lexicographically first tied edge.
+    Each index is 1 - chi(S^-(x)), counted vertex by vertex on its own
+    sublevel; chi(g) is the alternating sum of g's f-vector, counted apart
+    from them.  Neither is derived from the other (counting each simplex at
+    its top vertex would be the proof of Poincare-Hopf), so the two agree
+    by the theorem, not by construction.  f must be locally injective on
+    all of g; a tie raises at the lexicographically first tied edge.
     """
     values = as_fraction_vector(f, g.n)
     total = 0

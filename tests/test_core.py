@@ -10,6 +10,9 @@ Validates:
     - cliques(verts) against a filter of the complex, with it cached or not
     - the clique search for dimension() against the complex, leaving it unbuilt
     - Euler characteristic, additivity, join formula
+    - the f-vector and the chi of a vertex set counted without listing,
+      against the listed cliques; counting leaves no complex behind, reads
+      a cached one, and holds memory independent of the simplex count
     - Zykov join building spheres from spheres
     - every name the package exports resolves and is listed once; a star
       import binds exactly those names, dir() lists them, an unknown name
@@ -18,14 +21,18 @@ Validates:
 
 import importlib
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
 import levelgraph
-from levelgraph.core import SimplicialGraph, disjoint_union, euler_characteristic, join
+from levelgraph import core
+from levelgraph.core import SimplicialGraph, _euler_of, disjoint_union, euler_characteristic, join
 from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid, octahedron,
-                                random_sphere, wheel)
+                                random_sphere, suspension, wheel)
+from levelgraph.morse import ph_sum_check
+from levelgraph.topology import is_contractible, is_sphere
 from levelgraph.refine import barycentric
 from levelgraph.errors import InputError
 
@@ -189,6 +196,87 @@ def test_euler_matches_brute_force():
         if g.dimension() >= 5:
             continue
         assert euler_characteristic(g) == brute_euler(g)
+        assert g._simplices is None  # counted, not listed
+
+
+def _counting_cases():
+    """Graphs for the counter, each built fresh, so none has a cached complex."""
+    graphs = [SimplicialGraph(0, []), SimplicialGraph(1, []), SimplicialGraph(4, []),
+              SimplicialGraph(5, [(0, 1), (1, 2), (0, 2)]), octahedron(), icosahedron()]
+    graphs += [cross_polytope(d) for d in range(7)]
+    graphs += [wheel(n) for n in range(5, 10)] + [cycle(n) for n in range(3, 10)]
+    graphs += [SimplicialGraph(n, combinations(range(n), 2)) for n in range(10)]
+    graphs += [disjoint_union(octahedron(), cycle(5)), disjoint_union(wheel(6), SimplicialGraph(2, [])),
+               join(cycle(4), cycle(5)), join(octahedron(), SimplicialGraph(3, [(0, 1)]))]
+    graphs += [kuhn_grid(2, (4, 5), periodic=True), kuhn_grid(3, (4, 4, 4), periodic=True),
+               kuhn_grid(2, (3, 2)), kuhn_grid(3, (2, 3, 2)), kuhn_grid(4, (2, 2, 2, 2))]
+    for seed in range(4):
+        s = random_sphere(seed, 15 * seed)
+        graphs += [s, suspension(s), suspension(suspension(s))]
+    rng = random.Random(24)
+    for p in (0.1, 0.3, 0.6):
+        for _ in range(8):
+            n = rng.randint(1, 25)
+            graphs.append(SimplicialGraph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return [SimplicialGraph(g.n, g.edges()) for g in graphs]
+
+
+def test_f_vector_counts_what_cliques_list():
+    for g in _counting_cases():
+        counted = g.f_vector()
+        assert g._simplices is None
+        assert counted == tuple(len(group) for group in g.cliques(range(g.n)))
+        chi = euler_characteristic(SimplicialGraph(g.n, g.edges()))
+        assert chi == sum((-1) ** k * c for k, c in enumerate(counted))
+        if len(counted) <= 6 and g.n <= 12:  # brute_euler scans subsets of at most 6 vertices
+            assert chi == brute_euler(g)
+
+
+def test_euler_of_a_vertex_set_is_the_alternating_sum_of_its_cliques():
+    rng = random.Random(12)
+    for g in _counting_cases():
+        for p in (0.2, 0.5, 0.8, 1.0):
+            verts = [v for v in range(g.n) if rng.random() < p]
+            rng.shuffle(verts)  # the counter takes any order
+            expected = sum((-1) ** k * len(group) for k, group in enumerate(g.cliques(verts)))
+            assert _euler_of(g, verts) == expected
+            assert _euler_of(g, iter(verts)) == expected
+
+
+def test_counting_lists_no_complex(monkeypatch):
+    cases = [(octahedron(), 2), (random_sphere(3, 40), 2), (cross_polytope(3), 3),
+             (suspension(random_sphere(5, 20)), 3), (cross_polytope(4), 4),
+             (kuhn_grid(2, (4, 4), periodic=True), 2), (wheel(7), 2)]
+    for g, d in cases:
+        g = SimplicialGraph(g.n, g.edges())
+        g.f_vector()
+        euler_characteristic(g)
+        is_sphere(g, d)
+        is_contractible(g)
+        ph_sum_check(g, random.Random(g.n).sample(range(g.n), g.n))
+        assert g._simplices is None
+    g = cross_polytope(3)
+    groups = g.simplices()
+
+    def refuse(nbrs, verts):
+        raise AssertionError("counted though the complex is cached")
+    monkeypatch.setattr(core, "_clique_counts", refuse)
+    assert g.f_vector() == tuple(len(group) for group in groups) == (8, 24, 32, 16)
+    assert euler_characteristic(g) == 0
+
+
+def test_euler_of_a_large_cross_polytope_holds_no_complex():
+    # 3^11 - 1 = 177,146 simplices; listing them peaks at about 25 MB
+    g = cross_polytope(10)
+    tracemalloc.start()
+    try:
+        chi = euler_characteristic(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chi == 2  # a 10-sphere
+    assert peak < 1_000_000, f"peak {peak} bytes"
+    assert g._simplices is None
 
 
 def test_disjoint_union_additive():
