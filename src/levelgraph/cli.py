@@ -396,12 +396,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         handler, options = _COMMANDS[args.command]
         if "--budget" in options and args.budget is not None and args.budget < 0:
             raise InputError(f"budget must not be negative, got {args.budget}")
-        report = {"command": args.command}
-        doc = None
-        if "--graph" in options:
-            doc = _load_graph(args.graph)
-            report["graph"] = _graph_block(doc.graph)
+        doc = _load_graph(args.graph) if "--graph" in options else None
         body, code = handler(args, doc)
+        report = {"command": args.command}
+        if doc is not None:
+            # after the handler: a command that lists the complex has cached
+            # it, and the f-vector is read from it instead of counted
+            report["graph"] = _graph_block(doc.graph)
         report.update(body, timings={"total_s": round(time.perf_counter() - start, 6)})
         note = f"exit {code}"
     except LevelGraphError as e:

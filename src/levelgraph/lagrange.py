@@ -48,6 +48,8 @@ class InjectivityReport:
 
 
 def _check_ties(values, simplex):
+    """Raise TieOnSimplex at the first vertex of simplex whose entry in values
+    (any hashable, such as a Fraction or a tie key) repeats an earlier one."""
     seen = {}
     for v in simplex:
         x = values[v]
@@ -98,6 +100,13 @@ def max_rank_check(g: SimplicialGraph, fs: Sequence[Sequence],
     surplus locus triangles.  Levels default to zero.  The first
     violation found is reported with a dependent index subset; a single
     locally injective function always passes.
+
+    Ties, level hits and sides are decided once per vertex: a value's tie
+    key is its (numerator, denominator), equal exactly when the values
+    are.  The scan of the top simplices reads only these, in the order a
+    per-simplex check compares (ties of every function, then level hits
+    by function and vertex, then sides), so the same first simplex raises
+    the same TieOnSimplex or LevelHitsVertex.
     """
     functions = [as_fraction_vector(f, g.n) for f in fs]
     k = len(functions)
@@ -111,23 +120,26 @@ def max_rank_check(g: SimplicialGraph, fs: Sequence[Sequence],
         cs = [as_fraction(c) for c in levels]
     groups = g.simplices()
     top = groups[-1] if groups else ()
+    keys = [[(x.numerator, x.denominator) for x in vals] for vals in functions]
+    above = [[x > c for x in vals] for vals, c in zip(functions, cs)]
+    hits = [{v for v, x in enumerate(vals) if x == c} for vals, c in zip(functions, cs)]
     checked = 0
     for s in top:
-        for vals in functions:
-            _check_ties(vals, s)
-        sides = []
-        for vals, c in zip(functions, cs):
-            for v in s:
-                if vals[v] == c:
-                    raise LevelHitsVertex(v, c)
-            sides.append(tuple(vals[v] > c for v in s))
+        for key in keys:
+            _check_ties(key, s)
+        for hit, c in zip(hits, cs):
+            if hit:
+                for v in s:
+                    if v in hit:
+                        raise LevelHitsVertex(v, c)
+        sides = [[side[v] for v in s] for side in above]
         if not all(len(set(side)) == 2 for side in sides):
             continue  # some function does not change sign: simplex not in the locus
-        above = [sum(bit << j for j, bit in enumerate(side)) for side in sides]
+        masks = [sum(bit << j for j, bit in enumerate(side)) for side in sides]
         full = (1 << len(s)) - 1
         for r, root in enumerate(s):
             # the root's own bit is always clear, so it does not affect the rank
-            vectors = [m ^ full if side[r] else m for m, side in zip(above, sides)]
+            vectors = [m ^ full if side[r] else m for m, side in zip(masks, sides)]
             checked += 1
             dep = _gf2_dependent(vectors)
             if dep is not None:

@@ -65,18 +65,20 @@ def ph_index(g: SimplicialGraph, f: Sequence, x: int,
     """
     below = _split(g, as_fraction_vector(f, g.n), x)
     lower = g.induced(below)
-    # chi(lower) is counted, not listed; the entry checks of is_sphere and
-    # is_contractible below count it again
-    index = 1 - euler_characteristic(lower)
-    symmetric = _symmetric_value(g, x, {frozenset(below): 1 - index}, below)
+    chi = euler_characteristic(lower)  # counted, not listed
+    index = 1 - chi
+    symmetric = _symmetric_value(g, x, {frozenset(below): chi}, below)
     d = g.dimension()
-    if is_sphere(lower, d - 1, budget=budget).ok:
+    # a (d-1)-sphere has chi = 1 + (-1)^(d-1) and a contractible graph chi = 1;
+    # with another chi each check answers no before it spends any budget, so
+    # it is not called
+    if chi == 1 + (-1) ** (d - 1) and is_sphere(lower, d - 1, budget=budget).ok:
         kind = "local_max"
     elif lower.n == 0:
         kind = "local_min"
     elif d == 2 and index < 0:
         kind = "saddle"
-    elif is_contractible(lower, budget=budget).ok:
+    elif chi == 1 and is_contractible(lower, budget=budget).ok:
         kind = "regular"
     else:
         # genuinely non-contractible sublevel or a budget limit: do not guess

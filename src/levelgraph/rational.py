@@ -49,7 +49,12 @@ def as_fraction(x) -> Fraction:
 
 
 def as_fraction_vector(values: Sequence, n: Optional[int] = None) -> tuple[Fraction, ...]:
-    out = tuple(as_fraction(x) for x in values)
+    """The values as a tuple of Fractions, n of them when n is given.  A
+    vector that is already all Fraction (exact type) is returned as it is,
+    one type lookup per value instead of one as_fraction call."""
+    out = tuple(values)
+    if not set(map(type, out)) <= {Fraction}:
+        out = tuple(map(as_fraction, out))
     if n is not None and len(out) != n:
         raise InputError(f"expected {n} values, got {len(out)}")
     return out

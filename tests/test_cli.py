@@ -368,6 +368,37 @@ def test_variety_grid_over_the_cap_exits_4(capsys):
     assert "variety grid: over the cap" in rep["error"]["message"]
 
 
+def test_listing_commands_read_the_f_vector_of_the_listed_complex(capsys, monkeypatch):
+    from levelgraph import cli, core
+    loaded = []
+    load, count = cli._load_graph, core._clique_counts
+
+    def load_and_keep(spec):
+        loaded.append(load(spec))
+        return loaded[-1]
+
+    def refuse_the_document(nbrs, verts):
+        if nbrs is loaded[-1].graph.neighbors:
+            raise AssertionError("counted the document graph")
+        return count(nbrs, verts)  # level surfaces and refinements are counted
+    monkeypatch.setattr(cli, "_load_graph", load_and_keep)
+    monkeypatch.setattr(core, "_clique_counts", refuse_the_document)
+    for argv in (("curvature", "--graph", "builtin:icosahedron"),
+                 ("refine", *OCTAHEDRON),
+                 ("nodal", "--graph", "builtin:wheel(7)", "--k", "2", "--seed", "5"),
+                 ("ground-state", "--graph", "builtin:16-cell"),
+                 ("lagrange", "--graph", "builtin:16-cell", "--function", CAP_F,
+                  "--function", CAP_H)):
+        code, rep = run(capsys, *argv)
+        assert code == 0 and list(rep)[:2] == ["command", "graph"]
+        f_vector = [len(group) for group in loaded[-1].graph.simplices()]
+        assert rep["graph"]["f_vector"] == f_vector
+    # euler and verify list nothing, so they still count
+    for argv in (("euler", *OCTAHEDRON), ("verify", *OCTAHEDRON)):
+        with pytest.raises(AssertionError, match="counted the document graph"):
+            run(capsys, *argv)
+
+
 def test_export_off_file(capsys, tmp_path):
     out = str(tmp_path / "oct.off")
     code, rep = run(capsys, "export", "--graph", "builtin:octahedron",

@@ -11,7 +11,7 @@ from levelgraph.errors import InputError
 from levelgraph.graphdoc import (FORMAT_VERSION, MAX_VERTICES, GraphDocument, dumps, load,
                                  loads, save)
 from levelgraph.levelset import level_surface
-from levelgraph.rational import MAX_EXPONENT, as_fraction
+from levelgraph.rational import MAX_EXPONENT, as_fraction, as_fraction_vector
 
 # documents json.loads cannot turn into values: an integer over the
 # int-digit limit, nesting over the recursion limit, and two non-finite floats
@@ -148,3 +148,36 @@ def test_file_round_trip(tmp_path):
     assert back.graph.n == 6
     assert back.values["h"] == [Fraction(5)] * 6
     assert dumps(back) == dumps(doc)
+
+
+def test_fraction_vectors_pass_through_unconverted():
+    values = [Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
+    for source in (values, tuple(values), (x for x in values)):
+        out = as_fraction_vector(source, 3)
+        assert type(out) is tuple and all(a is b for a, b in zip(out, values))
+    assert as_fraction_vector(()) == ()
+
+
+def test_mixed_vectors_convert_as_each_value_does():
+    out = as_fraction_vector([Fraction(1, 3), 2, "3/4", 0.5, "-1e2"], 5)
+    assert out == (Fraction(1, 3), 2, Fraction(3, 4), Fraction(1, 2), -100)
+    assert all(type(x) is Fraction for x in out)
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_boolean_anywhere_in_a_vector_is_rejected(position):
+    values = [Fraction(1), Fraction(2), Fraction(3)]
+    values[position] = True
+    with pytest.raises(InputError, match="boolean is not a rational value"):
+        as_fraction_vector(values)
+
+
+def test_fraction_subclasses_pass_and_lengths_are_checked():
+    class Tagged(Fraction):
+        pass
+    tagged = Tagged(1, 2)
+    out = as_fraction_vector([Fraction(1), tagged], 2)
+    assert out[1] is tagged
+    for values in ([Fraction(1)] * 3, [1, "2", 3.0]):
+        with pytest.raises(InputError, match="^expected 4 values, got 3$"):
+            as_fraction_vector(values, 4)

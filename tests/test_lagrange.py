@@ -7,6 +7,10 @@ Validates:
     - regularity filtering: rank-passing pairs give circle loci at level 0
       on the 16-cell, median splits and equal pairs are rejected, and a
       level on a vertex value raises
+    - the per-vertex bookkeeping of the rank check against a per-simplex
+      scan: the same report, or the same first error, on seeded random
+      functions with ties and level hits; a vertex in no top simplex
+      never raises
     - candidate triangles against an edge-sign oracle, and a non-surface
       refused with the witness of 2-graph verification
     - the subset-sum injectivity surrogate and its 20-value cap, checked
@@ -16,14 +20,16 @@ Validates:
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from levelgraph.core import SimplicialGraph
-from levelgraph.catalog import icosahedron, octahedron, sixteen_cell, wheel
+from levelgraph.catalog import (cross_polytope, icosahedron, octahedron, random_sphere,
+                                sixteen_cell, wheel)
 from levelgraph.errors import InputError, LevelHitsVertex, NotASurface, TieOnSimplex
-from levelgraph.lagrange import (lagrange_candidates, max_rank_check, sign_gradient,
-                                 strong_injectivity_check)
+from levelgraph.lagrange import (MaxRankReport, _gf2_dependent, lagrange_candidates,
+                                 max_rank_check, sign_gradient, strong_injectivity_check)
 from levelgraph.levelset import simultaneous_locus
 from levelgraph.topology import is_dgraph
 
@@ -115,6 +121,85 @@ def test_level_aware_check():
     assert is_dgraph(locus.graph, 1).ok
     with pytest.raises(LevelHitsVertex):
         max_rank_check(k4(), [[5, -1, 3, -4]], [3])
+
+
+def _max_rank_by_simplex(g, fs, levels=None):
+    """The rank check as a per-simplex scan: every top simplex compares the
+    values on it for ties, then against each level, then for sides."""
+    functions = [[Fraction(x) for x in f] for f in fs]
+    k = len(functions)
+    cs = [Fraction(0)] * k if levels is None else [Fraction(c) for c in levels]
+    checked = 0
+    for s in g.simplices()[-1]:
+        for vals in functions:
+            seen = {}
+            for v in s:
+                if vals[v] in seen:
+                    raise TieOnSimplex(s, (seen[vals[v]], v))
+                seen[vals[v]] = v
+        sides = []
+        for vals, c in zip(functions, cs):
+            for v in s:
+                if vals[v] == c:
+                    raise LevelHitsVertex(v, c)
+            sides.append(tuple(vals[v] > c for v in s))
+        if not all(len(set(side)) == 2 for side in sides):
+            continue
+        above = [sum(bit << j for j, bit in enumerate(side)) for side in sides]
+        full = (1 << len(s)) - 1
+        for r, root in enumerate(s):
+            vectors = [m ^ full if side[r] else m for m, side in zip(above, sides)]
+            checked += 1
+            dep = _gf2_dependent(vectors)
+            if dep is not None:
+                return MaxRankReport(False, s, root, tuple(dep), checked)
+        if k >= 2:
+            crossing = [e for e in combinations(range(len(s)), 2)
+                        if all(side[e[0]] != side[e[1]] for side in sides)]
+            checked += 1
+            if len(crossing) > 1:
+                return MaxRankReport(False, s, s[crossing[1][0]], tuple(range(k)), checked)
+    return MaxRankReport(True, checked=checked)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (TieOnSimplex, LevelHitsVertex) as e:
+        return type(e).__name__, str(e)
+
+
+def test_max_rank_check_matches_a_per_simplex_scan():
+    graphs = [k4(), octahedron(), icosahedron(), sixteen_cell(), cross_polytope(4),
+              wheel(6), random_sphere(5, 6)]
+    rng = random.Random("max-rank/per-simplex")
+    seen = set()
+    for _ in range(600):
+        g = rng.choice(graphs)
+        k = rng.randint(1, 3)
+        span = rng.choice((4, 12, 10 ** 6))  # narrow spans tie on simplices and hit levels
+        fs = [[Fraction(rng.randint(-span, span), rng.choice((1, 1, 3))) for _ in range(g.n)]
+              for _ in range(k)]
+        if rng.random() < 0.3:
+            levels = None
+        else:
+            levels = [rng.choice(f) if rng.random() < 0.3 else Fraction(rng.randint(-span, span))
+                      for f in fs]
+        want = _outcome(_max_rank_by_simplex, g, fs, levels)
+        assert _outcome(max_rank_check, g, fs, levels) == want, (g.n, fs, levels)
+        seen.add(want[0] if isinstance(want, tuple) else want.ok)
+    # every kind of outcome is drawn: a pass, a failure and both errors
+    assert seen == {True, False, "TieOnSimplex", "LevelHitsVertex"}
+
+
+def test_max_rank_check_ignores_a_vertex_in_no_top_simplex():
+    # a triangle with a pendant edge: the level hits only the pendant vertex 3
+    g = SimplicialGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    f = [Fraction(-1), Fraction(1), Fraction(2), Fraction(0)]
+    r = max_rank_check(g, [f])
+    assert r == _max_rank_by_simplex(g, [f]) == MaxRankReport(True, checked=3)
+    # and a tie on the pendant edge is no tie on a top simplex
+    assert max_rank_check(g, [[-1, 1, 2, 2]], [0]).ok
 
 
 def test_candidates_all_triangles_for_equal_functions():
