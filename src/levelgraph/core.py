@@ -260,9 +260,13 @@ def _clique_counts(nbrs: Sequence[frozenset], verts: Iterable[int]) -> tuple[int
     of each clique on its path, so its memory is O(depth x degree).
     """
     keep = set(verts)
-    counts = [len(keep)] if keep else []
+    size = len(keep)
+    counts = [size] if keep else []
     for v in keep:
-        cand = [u for u in nbrs[v] if u > v and u in keep]
+        nv = nbrs[v]
+        # a neighbour set larger than verts (a suspension pole's, against a
+        # unit sphere) is intersected first, so the scan follows the smaller
+        cand = [u for u in (nv & keep if len(nv) > size else nv) if u > v and u in keep]
         if not cand:
             continue
         if len(counts) == 1:

@@ -4,12 +4,15 @@ For f on the vertices of g and a level c outside the value set, the surface
 {f=c} is the containment graph (refine.containment_graph) on the simplices
 of g on which f-c changes sign.  With several constraints the simultaneous
 locus keeps the simplices of dimension at least k on which every f_i-c_i
-changes sign.  Each vertex's side of each level is decided once; a simplex
-straddles a level when it has vertices on both sides.  Such a simplex is a
-clique, so each of its vertices has a neighbour across the level: only the
-cliques of the band (the vertices with a neighbour across every level) are
-enumerated.  When g carries coordinates, they are interpolated, reading
-the sides decided for the band, before the graph is built.
+changes sign.  Each vertex's side of each level is decided once, on
+integers: x - c has the sign of x.numerator * c.denominator -
+c.numerator * x.denominator (denominators are positive), and a zero is a
+level hitting the vertex.  A simplex straddles a level when it has
+vertices on both sides.  Such a simplex is a clique, so each of its
+vertices has a neighbour across the level: only the cliques of the band
+(the vertices with a neighbour across every level) are enumerated.  When
+g carries coordinates, they are interpolated, reading the sides decided
+for the band, before the graph is built.
 
 A surface's triangles come from one walk around each unit sphere, which
 also checks that the graph is a 2-graph: no separate verification and no
@@ -51,13 +54,11 @@ def _locus(g, functions, levels) -> LevelSurfaceGraph:
     """
     belows = []
     for values, c in zip(functions, levels):
-        below = set()
-        for v, x in enumerate(values):
-            if x < c:
-                below.add(v)
-            elif x == c:
-                raise LevelHitsVertex(v, c)
-        belows.append(below)
+        cn, cd = c.numerator, c.denominator
+        sides = [x.numerator * cd - cn * x.denominator for x in values]
+        if 0 in sides:
+            raise LevelHitsVertex(sides.index(0), c)
+        belows.append({v for v, side in enumerate(sides) if side < 0})
     nbrs = g.neighbors
     band = [v for v in range(g.n)
             if all(not nbrs[v].isdisjoint(b) if v not in b else not b.issuperset(nbrs[v])

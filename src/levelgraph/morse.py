@@ -47,11 +47,14 @@ def _split(g, values, x):
     """The neighbours of x below f(x), ascending; raises at the first
     neighbour, in ascending order, where f ties with f(x)."""
     fx = values[x]
+    n, d = fx.numerator, fx.denominator
     below = []
     for y in sorted(g.neighbors[x]):
-        if values[y] == fx:
+        fy = values[y]
+        side = fy.numerator * d - n * fy.denominator  # the sign of f(y) - f(x)
+        if side == 0:
             raise NotLocallyInjective((min(x, y), max(x, y)), fx)
-        if values[y] < fx:
+        if side < 0:
             below.append(y)
     return below
 

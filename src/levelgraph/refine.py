@@ -5,6 +5,10 @@ given by strict containment.  The barycentric refinement takes every
 simplex of the clique complex, in order of dimension and then
 lexicographically within a dimension, so ids are reproducible; level sets
 (see levelset) take the simplices on which a function changes sign.
+
+A function extends to a containment graph by its mean over each support,
+an exact integer operation: the numerators over the lcm of the support's
+own denominators, divided once.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence
 
 from .core import Simplex, SimplicialGraph
@@ -64,8 +69,21 @@ def barycentric(g: SimplicialGraph) -> RefinedGraph:
 
 def extend_by_support(values: Sequence[Fraction],
                       supports: Sequence[Sequence[int]]) -> list[Fraction]:
-    """Average a vertex function over each support (a simplex or a multiset)."""
-    return [sum(values[v] for v in sup) / len(sup) for sup in supports]
+    """Average a vertex function over each support (a simplex or a multiset).
+
+    Each mean is one Fraction built from integers: the numerators are
+    summed over the lcm of that support's own denominators (one lcm over
+    the whole vector would grow with every distinct denominator in it).
+    int values are read as integers, and an empty support raises
+    ZeroDivisionError.
+    """
+    out = []
+    for sup in supports:
+        xs = [values[v] for v in sup]
+        den = lcm(*[x.denominator for x in xs])
+        out.append(Fraction(sum([x.numerator * (den // x.denominator) for x in xs]),
+                            den * len(xs)))
+    return out
 
 
 def extend_function(f: Sequence, r) -> tuple[Fraction, ...]:

@@ -6,6 +6,11 @@ averaging over the multiset of original vertices supporting each surface
 vertex.  The support of a surface vertex is the concatenation of the
 supports of the vertices in its origin simplex, flattened and kept with
 multiplicity; a vertex reachable through two paths counts twice.
+
+Means and orders are exact integer operations on numerators and
+denominators: refine.extend_by_support sums each support over its own
+lcm, and a stage's value set is sorted by the integer key floor(x * 2^64),
+which is monotone in x, with a Fraction compare breaking its ties.
 """
 
 from __future__ import annotations
@@ -91,7 +96,8 @@ def sard_pipeline(g: SimplicialGraph, fs: Sequence[Sequence],
         value_set = set(values)
         if len(value_set) == 1:
             raise ConstantExtension(stage, values[0])
-        excluded = tuple(sorted(value_set))
+        # the floor of x * 2^64 is monotone in x, and a tie falls back to x itself
+        excluded = tuple(sorted(value_set, key=lambda x: ((x.numerator << 64) // x.denominator, x)))
         c = levels[i]
         perturbed = c in value_set
         if perturbed and not perturb:

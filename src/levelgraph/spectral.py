@@ -9,6 +9,12 @@ the solver happened to pick inside a degenerate one.  Eigenvectors are
 rationalized (exact binary expansion of the floats) before level surfaces
 are built, so everything downstream stays exact.
 
+A nodal report's counts (crossing edges, signed top simplices, the
+Cheeger ratio) read one list of signs.  ground_state_surface cuts the
+nodal surface {v2=0} once: in dimension 3 it is stage 1 of the Sard
+pipeline of the double nodal surface {v2=0, v3=0}, the same
+level_surface(g, v2, 0) nodal_report builds.
+
 numpy is imported inside the functions that call it, so it is loaded on
 the first eigensolve and never by code that only imports this module.
 """
@@ -179,6 +185,44 @@ def _rationalize(vector: Sequence[float], perturb: bool,
     raise ZeroOnVertex(zeros[0], float(vector[zeros[0]]))  # pragma: no cover
 
 
+def _eigenvector(g: SimplicialGraph, k: int, perturb: bool, seed: Optional[int],
+                 spectrum: Optional[Spectrum]) -> tuple[Spectrum, tuple[float, ...],
+                                                        tuple[Fraction, ...], bool]:
+    """The k-th eigenvector as floats and as the rational copy its nodal
+    surface is cut from, after the checks on k."""
+    if k < 2:
+        raise InputError("k must be at least 2 (k=1 is the constant eigenvector)")
+    if k > g.n:
+        raise InputError(f"k={k} exceeds {g.n} eigenvectors")
+    if spectrum is None:
+        spectrum = spectrum_of(g)
+    vec = tuple(float(x) for x in spectrum.eigenvectors[:, k - 1])
+    rational, perturbed = _rationalize(vec, perturb, seed)
+    return spectrum, vec, tuple(rational), perturbed
+
+
+def _report(g, k, spectrum, vec, rational, perturbed, seed, surface) -> NodalReport:
+    """The NodalReport of the k-th eigenvector, given its nodal surface.
+
+    The counts read one sign list: rational has no zero entry, and a
+    Fraction's sign is its numerator's.  Lists g's complex, which caches it.
+    """
+    zero_vertices = tuple(v for v in range(g.n) if abs(vec[v]) <= ZERO_TOL)
+    pos_comp, neg_comp = signed_components(g, vec)
+    positive = {v for v, x in enumerate(rational) if x.numerator > 0}
+    nbrs = g.neighbors
+    crossing = sum(len(nbrs[v] - positive) for v in positive)  # each at its positive end
+    groups = g.simplices()
+    top = groups[-1] if groups else ()
+    pos_simp = sum(1 for s in top if positive.issuperset(s))
+    neg_simp = sum(1 for s in top if positive.isdisjoint(s))
+    low = min(pos_simp, neg_simp)
+    cheeger = Fraction(crossing, low) if low else None
+    return NodalReport(k, spectrum.eigenvalues[k - 1], vec, zero_vertices,
+                       pos_comp, neg_comp, surface, crossing, pos_simp, neg_simp,
+                       cheeger, perturbed, seed if perturbed else None, rational)
+
+
 def nodal_report(g: SimplicialGraph, k: int, *,
                  perturb: bool = False, seed: Optional[int] = 0,
                  spectrum: Optional[Spectrum] = None) -> NodalReport:
@@ -189,27 +233,9 @@ def nodal_report(g: SimplicialGraph, k: int, *,
     vertices at zero either abort (perturb=False) or are moved off zero by
     a recorded seeded perturbation.
     """
-    if k < 2:
-        raise InputError("k must be at least 2 (k=1 is the constant eigenvector)")
-    if k > g.n:
-        raise InputError(f"k={k} exceeds {g.n} eigenvectors")
-    if spectrum is None:
-        spectrum = spectrum_of(g)
-    vec = tuple(float(x) for x in spectrum.eigenvectors[:, k - 1])
-    zero_vertices = tuple(v for v in range(g.n) if abs(vec[v]) <= ZERO_TOL)
-    pos_comp, neg_comp = signed_components(g, vec)
-    rational, perturbed = _rationalize(vec, perturb, seed)
+    spectrum, vec, rational, perturbed = _eigenvector(g, k, perturb, seed, spectrum)
     surface = level_surface(g, rational, Fraction(0))
-    crossing = sum(1 for u, v in g.edges() if (rational[u] > 0) != (rational[v] > 0))
-    groups = g.simplices()
-    top = groups[-1] if groups else ()
-    pos_simp = sum(1 for s in top if all(rational[v] > 0 for v in s))
-    neg_simp = sum(1 for s in top if all(rational[v] < 0 for v in s))
-    cheeger = Fraction(crossing, min(pos_simp, neg_simp)) if min(pos_simp, neg_simp) else None
-    return NodalReport(k, spectrum.eigenvalues[k - 1], vec, zero_vertices,
-                       pos_comp, neg_comp, surface, crossing, pos_simp, neg_simp,
-                       cheeger, perturbed, seed if perturbed else None,
-                       tuple(rational))
+    return _report(g, k, spectrum, vec, rational, perturbed, seed, surface)
 
 
 def eigenfunction_principle_check(g: SimplicialGraph,
@@ -241,21 +267,29 @@ def ground_state_surface(g: SimplicialGraph, *, seed: int = 0,
     {v2=0, v3=0} is attempted as well; its library errors (LevelGraphError)
     are reported as text rather than raised, since the construction is
     experimental.  Any other exception is a bug and propagates.
+
+    The nodal surface is cut once.  In dimension 3 it is Sard stage 1 of
+    the double surface: level_surface(g, v2, 0), the cut nodal_report
+    makes, at a level never nudged since the rational v2 has no zero
+    entry.  When d != 3, or when the double surface raises, it is cut on
+    its own.
     """
-    if spectrum is None:
-        spectrum = spectrum_of(g)
-    nodal = nodal_report(g, 2, perturb=True, seed=seed, spectrum=spectrum)
-    d = g.dimension()  # read from the complex that nodal_report built
-    sphere = is_sphere(nodal.surface.graph, d - 1, budget=budget)
+    spectrum, vec, rational, perturbed = _eigenvector(g, 2, True, seed, spectrum)
+    d = len(g.simplices()) - 1  # the complex _report lists, cached
     double = double_comp = double_verdict = double_error = None
     if d == 3:
         try:
             v3, _ = _rationalize(spectrum.eigenvectors[:, 2], True, seed + 1)
-            double = sard_pipeline(g, [nodal.rational, v3], [0, 0],
-                                   budget=budget, perturb=True)
+            double = sard_pipeline(g, [rational, v3], [0, 0], budget=budget, perturb=True)
             double_comp = len(components(double.final))
             double_verdict = double.stages[-1].verdict
         except LevelGraphError as e:  # experimental harness: report, do not raise
             double_error = f"{type(e).__name__}: {e}"
+    if double is not None:
+        surface = double.stages[0].surface
+    else:
+        surface = level_surface(g, rational, Fraction(0))
+    nodal = _report(g, 2, spectrum, vec, rational, perturbed, seed, surface)
+    sphere = is_sphere(surface.graph, d - 1, budget=budget)
     return GroundState(nodal, spectrum.eigenvalues[1], sphere,
                        double, double_comp, double_verdict, double_error)

@@ -24,6 +24,15 @@ def random_injective(rng: random.Random, n: int, span: int = 10 ** 6) -> list[Fr
     return [Fraction(a, rng.randint(1, 97)) for a in nums]
 
 
+def hard_rationals(rng: random.Random, n: int) -> list[Fraction]:
+    """Seeded Fractions of both signs for the integer kernels: small and
+    40-digit numerators over mixed denominators (1, powers of two, small and
+    Mersenne primes, 2^200 + 7 and 10^30)."""
+    dens = (1, 2, 2 ** 53, 3, 97, 2 ** 61 - 1, 2 ** 200 + 7, 10 ** 30)
+    return [Fraction(rng.choice((rng.randint(-9, 9), rng.randint(-10 ** 40, 10 ** 40))),
+                     rng.choice(dens)) for _ in range(n)]
+
+
 def gap_level(values, rng: random.Random) -> Fraction:
     """A level strictly inside a random gap of the value set."""
     distinct = sorted(set(values))

@@ -12,7 +12,9 @@ Validates:
     - Euler characteristic, additivity, join formula
     - the f-vector and the chi of a vertex set counted without listing,
       against the listed cliques; counting leaves no complex behind, reads
-      a cached one, and holds memory independent of the simplex count
+      a cached one, and holds memory independent of the simplex count; a
+      vertex set holding a suspension pole is counted without scanning the
+      pole's neighbours
     - Zykov join building spheres from spheres
     - every name the package exports resolves and is listed once; a star
       import binds exactly those names, dir() lists them, an unknown name
@@ -241,6 +243,31 @@ def test_euler_of_a_vertex_set_is_the_alternating_sum_of_its_cliques():
             expected = sum((-1) ** k * len(group) for k, group in enumerate(g.cliques(verts)))
             assert _euler_of(g, verts) == expected
             assert _euler_of(g, iter(verts)) == expected
+
+
+class _NoScan(frozenset):
+    """A neighbour set that refuses to be scanned element by element."""
+
+    def __iter__(self):
+        raise AssertionError("scanned a pole's whole neighbour set")
+
+
+def test_counts_of_vertex_sets_with_a_pole_match_the_listed_cliques():
+    # the poles of a suspension are vertices 0 and 1, adjacent to everything
+    # else: in a set smaller than a pole's degree, a count takes the pole's
+    # candidates from the set, so the wrapped pole sets are never scanned
+    rng = random.Random(26)
+    for g in (suspension(random_sphere(3, 300)), suspension(suspension(random_sphere(5, 60)))):
+        wrapped = list(g.neighbors)
+        wrapped[0], wrapped[1] = _NoScan(wrapped[0]), _NoScan(wrapped[1])
+        sets = [[0], [0, 1], [1, 2], sorted(g.neighbors[2]), sorted(g.neighbors[2] | {2})]
+        sets += [sorted(g.neighbors[x]) for x in rng.sample(range(2, g.n), 12)]
+        sets += [[0] + rng.sample(range(2, g.n), k) for k in (1, 3, 10, 40)]
+        for verts in sets:
+            assert 0 in verts or 1 in verts
+            want = tuple(len(group) for group in g.cliques(verts))
+            nbrs = wrapped if len(verts) < len(g.neighbors[0]) else g.neighbors
+            assert core._clique_counts(nbrs, verts) == want
 
 
 def test_counting_lists_no_complex(monkeypatch):

@@ -16,6 +16,8 @@ Validates:
       non-surfaces, a disjoint union, an isolated vertex and the empty graph
     - loci enumerated from the band's cliques equal the filter of the whole
       complex, on catalog graphs, seeded spheres and the variety grids
+    - sides and level hits decided on integers agree with Fraction compares
+      on values of both signs, mixed denominators and huge numerators
 """
 
 import random
@@ -34,7 +36,7 @@ from levelgraph.refine import barycentric
 from levelgraph.topology import components, is_dgraph, is_sphere
 from levelgraph.variety import triangulate_variety
 
-from conftest import random_injective
+from conftest import hard_rationals, random_injective
 from test_topology import flag_rp2
 
 # a step far below any gap between the values these tests cut
@@ -406,3 +408,41 @@ def test_variety_stages_come_from_the_band_alone(polys, box, step):
     for stage in trace.stages:
         assert stage.surface.origin == _straddling(current, [stage.input_values], [stage.level])
         current = stage.surface.graph
+
+
+def _first_hit(functions, levels):
+    """(vertex, level) of the first value equal to its level, by Fraction
+    compares, function by function; None when no level hits a vertex."""
+    for f, c in zip(functions, levels):
+        for v, x in enumerate(f):
+            if x == c:
+                return v, c
+    return None
+
+
+@pytest.mark.parametrize("name", ["octahedron", "cross_polytope(4)", "barycentric(16-cell)",
+                                  "random_sphere(3, 30)"])
+def test_integer_sides_match_fraction_compares(name):
+    """Sides and hits decided on numerators and denominators give the locus
+    and the LevelHitsVertex that Fraction compares give, on values of both
+    signs with mixed denominators and huge numerators."""
+    graph = LOCUS_GRAPHS[name]()
+    rng = random.Random(f"sides {name}")
+    for trial in range(24):
+        k = 1 + trial % 2
+        fs = [hard_rationals(rng, graph.n) for _ in range(k)]
+        cs = []
+        for f in fs:
+            lo, hi = sorted(rng.sample(f, 2))
+            # a value (a hit), the midpoint of two values, zero, or a value moved by 2^-300
+            cs.append(rng.choice((rng.choice(f), (lo + hi) / 2, Fraction(0),
+                                  rng.choice(f) + Fraction(rng.choice((-1, 1)), 2 ** 300))))
+        g = SimplicialGraph(graph.n, graph.edges())
+        hit = _first_hit(fs, cs)
+        try:
+            locus = level_surface(g, fs[0], cs[0]) if k == 1 else simultaneous_locus(g, fs, cs)
+        except LevelHitsVertex as e:
+            assert (e.vertex, e.value) == hit
+        else:
+            assert hit is None
+            assert locus.origin == _straddling(graph, fs, cs), (k, cs)

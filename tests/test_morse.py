@@ -10,6 +10,7 @@ Validates:
     - indices, sums, expectations and central surfaces read from vertex sets
       of the parent equal those of a copy that builds every unit sphere and
       sublevel set as an induced graph, with the complex cached and not
+    - the sides of a vertex decided on integers agree with Fraction compares
 """
 
 import math
@@ -25,12 +26,13 @@ from levelgraph.core import SimplicialGraph
 from levelgraph.core import euler_characteristic
 from levelgraph.refine import barycentric
 from levelgraph.errors import InputError, NotLocallyInjective
+from levelgraph import morse
 from levelgraph.morse import (central_surface, curvature, index_expectation,
                               index_expectation_exact, ph_index, ph_sum_check)
 from levelgraph.levelset import level_surface
 from levelgraph.topology import is_contractible, is_dgraph, is_sphere
 
-from conftest import random_injective, same_graph
+from conftest import hard_rationals, random_injective, same_graph
 
 
 def test_min_and_max():
@@ -356,3 +358,25 @@ def test_vertex_sets_match_the_induced_graphs(name, cached):
             with pytest.raises(InputError):
                 index_expectation_exact(g, x)
     assert (g._simplices is not None) == cached
+
+
+def test_integer_sides_of_a_vertex_match_fraction_compares():
+    """_split decides f(y) - f(x) on numerators and denominators: the same
+    sublevel, and the same first tie, as Fraction compares, on values of
+    both signs with mixed denominators and huge numerators."""
+    rng = random.Random(2026)
+    for g in (octahedron(), cross_polytope(3), suspension(random_sphere(4, 20))):
+        for _ in range(30):
+            values = hard_rationals(rng, g.n)
+            x = rng.randrange(g.n)
+            if rng.random() < 0.3:  # a tie with a neighbour
+                values[rng.choice(sorted(g.neighbors[x]))] = values[x]
+            try:
+                _, below = _induced_split(g, values, x)
+            except NotLocallyInjective as e:
+                with pytest.raises(NotLocallyInjective) as got:
+                    morse._split(g, values, x)
+                assert (got.value.edge, got.value.value) == (e.edge, e.value)
+            else:
+                nbrs = sorted(g.neighbors[x])
+                assert morse._split(g, values, x) == [nbrs[i] for i in below]

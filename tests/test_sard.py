@@ -7,6 +7,9 @@ Validates:
     - k=d pipelines ending in a 0-graph
     - perturbed levels and error reporting; a perturbed stage cuts the
       simplices its level moved up by 2^-64 cuts
+    - support means and sorted value sets computed on integers equal Fraction
+      sums and Fraction sorts: mixed and 2,000 prime denominators, huge
+      numerators, floor-key ties; an empty support still raises
 """
 
 import random
@@ -19,10 +22,11 @@ from levelgraph.core import SimplicialGraph
 from levelgraph.catalog import cross_polytope, octahedron
 from levelgraph.errors import ConstantExtension, EmptyStage, IncompatibleLevel
 from levelgraph.levelset import level_surface
+from levelgraph.refine import barycentric
 from levelgraph.sard import extend_by_support, sard_pipeline
 from levelgraph.topology import is_dgraph
 
-from conftest import gap_level, paper_octahedron, random_injective
+from conftest import gap_level, hard_rationals, paper_octahedron, random_injective
 
 
 F = [13, 15, 17, 19, 1, 31]   # equator 13,15,17,19; poles 1 and 31
@@ -209,3 +213,85 @@ def test_stage_verdicts_on_random_spheres(rng):
         cs = chained_levels(g, fs, rng)
         trace = sard_pipeline(g, fs, cs)
         assert all(s.verdict.ok for s in trace.stages)
+
+
+# -- integer kernels against Fraction arithmetic ------------------------------
+
+
+def _means_by_fractions(values, supports):
+    """The mean of each support by Fraction sums, as the extension once was."""
+    return [sum(values[v] for v in sup) / len(sup) for sup in supports]
+
+
+def _primes(count):
+    """The first count primes, by trial division over the primes found."""
+    found = []
+    p = 2
+    while len(found) < count:
+        if all(p % q for q in found if q * q <= p):
+            found.append(p)
+        p += 1
+    return found
+
+
+def test_support_means_match_fraction_sums():
+    rng = random.Random(26)
+    g = cross_polytope(3)
+    values = hard_rationals(rng, g.n)
+    simplices = [s for group in g.simplices() for s in group]
+    multisets = [tuple(sorted(rng.choices(range(g.n), k=rng.randint(1, 12)))) for _ in range(200)]
+    for supports in (simplices, multisets):
+        got = extend_by_support(values, supports)
+        assert got == _means_by_fractions(values, supports)
+        assert all(type(x) is Fraction for x in got)
+    # 2,000 distinct prime denominators, each support summed over its own lcm
+    primes = _primes(2000)
+    values = [Fraction(rng.randint(-10 ** 30, 10 ** 30), p) for p in primes]
+    supports = [tuple(rng.choices(range(2000), k=rng.randint(1, 8))) for _ in range(2000)]
+    supports.append(tuple(range(2000)))
+    assert extend_by_support(values, supports) == _means_by_fractions(values, supports)
+
+
+def test_support_means_take_ints_and_refuse_an_empty_support():
+    assert extend_by_support([1, -2, 4], [(0, 1), (1, 2, 2), (0,)]) == [
+        Fraction(-1, 2), Fraction(2), Fraction(1)]
+    assert extend_by_support([1, Fraction(1, 3)], [(0, 1)]) == [Fraction(2, 3)]
+    with pytest.raises(ZeroDivisionError):
+        extend_by_support([Fraction(1)], [()])
+
+
+def _tied_values(rng, n):
+    """Values whose 2^64-scaled floors tie in runs: +-1/(2^200 + i) and
+    c +- 1/(2^200 + i) for small c, among hard rationals and repeats."""
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(4)
+        tiny = Fraction(rng.choice((-1, 1)), 2 ** 200 + rng.randrange(40))
+        if kind == 0:
+            out.append(tiny)
+        elif kind == 1:
+            out.append(rng.randint(-3, 3) + tiny)
+        elif kind == 2 and out:
+            out.append(rng.choice(out))
+        else:
+            out.extend(hard_rationals(rng, 1))
+    return out
+
+
+def test_stage_value_sets_are_sorted_as_fractions_sort():
+    rng = random.Random(2026)
+    g = barycentric(cross_polytope(3)).graph
+    for _ in range(4):
+        fs = [_tied_values(rng, g.n), _tied_values(rng, g.n)]
+        first = sard_pipeline(g, fs[:1], [0], perturb=True)
+        # a level on the median extended value, so stage 2 is perturbed to a gap
+        ext = sorted(_means_by_fractions(fs[1], first.stages[0].support))
+        c2 = ext[len(ext) // 2]
+        trace = sard_pipeline(g, fs, [0, c2], perturb=True)
+        for stage in trace.stages:
+            assert stage.excluded == tuple(sorted(set(stage.input_values)))
+            keys = {(x.numerator << 64) // x.denominator for x in stage.excluded}
+            assert len(keys) < len(stage.excluded)  # the tie fallback ran
+        s2 = trace.stages[1]
+        assert s2.perturbed
+        assert s2.level == (c2 + min(x for x in s2.input_values if x > c2)) / 2

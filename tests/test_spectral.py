@@ -1,25 +1,34 @@
 """Laplacian spectra, nodal reports and ground-state nodal surfaces.
 
 signed_components counts the components of vertex sets of the graph; it is
-checked against a copy that builds each side as an induced graph.
+checked against a copy that builds each side as an induced graph.  The
+ground state, which takes its nodal surface from Sard stage 1 of the double
+surface, is checked against a copy of the composition it replaced
+(nodal_report, is_sphere, then sard_pipeline, cutting {v2 = 0} twice).
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from levelgraph import spectral
+from levelgraph import sard, spectral
 from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid, octahedron,
                                 random_sphere, suspension, wheel)
 from levelgraph.core import SimplicialGraph, disjoint_union
-from levelgraph.errors import ConvergenceFailure, InputError, ZeroOnVertex
+from levelgraph.errors import (ConvergenceFailure, EmptyStage, InputError, LevelGraphError,
+                               ZeroOnVertex)
+from levelgraph.levelset import level_surface
 from levelgraph.refine import barycentric
 from levelgraph.spectral import (ZERO_TOL, eigenfunction_principle_check,
                                  ground_state_surface, nodal_report, signed_components,
                                  spectrum_of)
-from levelgraph.topology import components, is_dgraph
+from levelgraph.sard import sard_pipeline
+from levelgraph.topology import components, is_dgraph, is_sphere
+
+from conftest import same_graph
 
 TOL = 1e-8
 
@@ -231,3 +240,155 @@ def test_ground_state_16_cell():
     assert gs.double is not None and gs.double_error is None
     assert gs.double_components == 1
     assert gs.double_verdict is not None and gs.double_verdict.ok
+
+
+# -- the ground state against the composition it replaced ---------------------
+
+
+def _parent_nodal_report(g, k, perturb, seed, spectrum):
+    """nodal_report as it was: one level_surface call and Fraction compares
+    for every edge and top simplex."""
+    if k < 2:
+        raise InputError("k must be at least 2 (k=1 is the constant eigenvector)")
+    if k > g.n:
+        raise InputError(f"k={k} exceeds {g.n} eigenvectors")
+    vec = tuple(float(x) for x in spectrum.eigenvectors[:, k - 1])
+    zero_vertices = tuple(v for v in range(g.n) if abs(vec[v]) <= ZERO_TOL)
+    pos_comp, neg_comp = signed_components(g, vec)
+    rational, perturbed = spectral._rationalize(vec, perturb, seed)
+    surface = level_surface(g, rational, Fraction(0))
+    crossing = sum(1 for u, v in g.edges() if (rational[u] > 0) != (rational[v] > 0))
+    groups = g.simplices()
+    top = groups[-1] if groups else ()
+    pos_simp = sum(1 for s in top if all(rational[v] > 0 for v in s))
+    neg_simp = sum(1 for s in top if all(rational[v] < 0 for v in s))
+    cheeger = Fraction(crossing, min(pos_simp, neg_simp)) if min(pos_simp, neg_simp) else None
+    return spectral.NodalReport(k, spectrum.eigenvalues[k - 1], vec, zero_vertices,
+                                pos_comp, neg_comp, surface, crossing, pos_simp, neg_simp,
+                                cheeger, perturbed, seed if perturbed else None,
+                                tuple(rational))
+
+
+def _parent_ground_state(g, seed=0, budget=None, spectrum=None):
+    """ground_state_surface as it was composed: nodal_report, then is_sphere
+    on its surface, then sard_pipeline, which cut {v2 = 0} a second time."""
+    if spectrum is None:
+        spectrum = spectrum_of(g)
+    nodal = _parent_nodal_report(g, 2, True, seed, spectrum)
+    d = g.dimension()
+    sphere = is_sphere(nodal.surface.graph, d - 1, budget=budget)
+    double = double_comp = double_verdict = double_error = None
+    if d == 3:
+        try:
+            v3, _ = spectral._rationalize(spectrum.eigenvectors[:, 2], True, seed + 1)
+            double = sard_pipeline(g, [nodal.rational, v3], [0, 0], budget=budget, perturb=True)
+            double_comp = len(components(double.final))
+            double_verdict = double.stages[-1].verdict
+        except LevelGraphError as e:
+            double_error = f"{type(e).__name__}: {e}"
+    return spectral.GroundState(nodal, spectrum.eigenvalues[1], sphere,
+                                double, double_comp, double_verdict, double_error)
+
+
+def _same_surface(a, b):
+    return (same_graph(a.graph, b.graph) and same_graph(a.parent, b.parent) and a.origin == b.origin
+            and a.functions == b.functions and a.levels == b.levels)
+
+
+def _same_nodal(a, b):
+    fields = [f.name for f in dataclasses.fields(a) if f.name != "surface"]
+    return (all(getattr(a, f) == getattr(b, f) for f in fields)
+            and _same_surface(a.surface, b.surface))
+
+
+def _same_ground_state(a, b):
+    if not (_same_nodal(a.nodal, b.nodal) and a.gap == b.gap and a.sphere == b.sphere
+            and (a.double_components, a.double_verdict, a.double_error)
+            == (b.double_components, b.double_verdict, b.double_error)):
+        return False
+    if a.double is None or b.double is None:
+        return a.double is b.double
+    return (a.double.dimension == b.double.dimension
+            and a.double.extension_rule == b.double.extension_rule
+            and len(a.double.stages) == len(b.double.stages)
+            and all((s.function_index, s.level, s.perturbed, s.input_values, s.excluded,
+                     s.support, s.verdict)
+                    == (t.function_index, t.level, t.perturbed, t.input_values, t.excluded,
+                        t.support, t.verdict) and _same_surface(s.surface, t.surface)
+                    for s, t in zip(a.double.stages, b.double.stages)))
+
+
+GROUND_GRAPHS = {
+    "16-cell": lambda: cross_polytope(3),
+    "barycentric(16-cell)": lambda: barycentric(cross_polytope(3)).graph,
+    "3-torus 4x4x4": lambda: kuhn_grid(3, (4, 4, 4), periodic=True),
+    "random_3_sphere(7, 40)": lambda: suspension(random_sphere(7, 40)),
+    "random_3_sphere(11, 25)": lambda: suspension(random_sphere(11, 25)),
+    "cross_polytope(4)": lambda: cross_polytope(4),
+}
+
+
+def _counting_level_surface(monkeypatch):
+    """Wrap level_surface where spectral and sard call it; the list records
+    the graph of every call."""
+    calls = []
+    real = spectral.level_surface
+
+    def counted(g, f, c):
+        calls.append(g)
+        return real(g, f, c)
+    monkeypatch.setattr(spectral, "level_surface", counted)
+    monkeypatch.setattr(sard, "level_surface", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", GROUND_GRAPHS)
+def test_ground_state_equals_the_composition_it_replaced(name, monkeypatch):
+    graph = GROUND_GRAPHS[name]()
+    spectrum = spectrum_of(graph)
+    for seed in (0, 3):
+        want = _parent_ground_state(SimplicialGraph(graph.n, graph.edges()), seed=seed,
+                                    spectrum=spectrum)
+        g = SimplicialGraph(graph.n, graph.edges())
+        with monkeypatch.context() as m:
+            calls = _counting_level_surface(m)
+            got = ground_state_surface(g, seed=seed, spectrum=spectrum)
+        assert _same_ground_state(got, want)
+        assert sum(1 for h in calls if h is g) == 1  # {v2 = 0} is cut once
+        assert got.nodal.surface.parent is g
+        if got.double is not None:
+            assert got.nodal.surface is got.double.stages[0].surface
+    if name == "3-torus 4x4x4":
+        assert (want.sphere.verdict, want.double_components) == ("no", 4)
+    if name == "cross_polytope(4)":
+        assert want.double is None and want.double_error is None
+    else:
+        assert want.double is not None
+
+
+def test_ground_state_without_a_spectrum_equals_the_composition_it_replaced():
+    graph = suspension(random_sphere(7, 40))
+    want = _parent_ground_state(SimplicialGraph(graph.n, graph.edges()), seed=5)
+    got = ground_state_surface(SimplicialGraph(graph.n, graph.edges()), seed=5)
+    assert _same_ground_state(got, want)
+
+
+def test_ground_state_cuts_its_own_nodal_surface_when_the_double_fails(monkeypatch):
+    def empty(g, fs, cs, **kwargs):
+        raise EmptyStage(1, Fraction(0))
+    monkeypatch.setattr(spectral, "sard_pipeline", empty)
+    g = barycentric(cross_polytope(3)).graph
+    spectrum = spectrum_of(g)
+    gs = ground_state_surface(g, seed=2, spectrum=spectrum)
+    assert gs.double is None and gs.double_components is None and gs.double_verdict is None
+    assert gs.double_error == "EmptyStage: stage 1: level set at 0 is empty"
+    assert _same_nodal(gs.nodal, nodal_report(g, 2, perturb=True, seed=2, spectrum=spectrum))
+    assert gs.sphere == is_sphere(gs.nodal.surface.graph, 2)
+
+
+def test_ground_state_of_one_vertex_raises_the_same_input_error():
+    with pytest.raises(InputError) as want:
+        _parent_ground_state(SimplicialGraph(1, []))
+    with pytest.raises(InputError) as got:
+        ground_state_surface(SimplicialGraph(1, []))
+    assert str(got.value) == str(want.value) == "k=2 exceeds 1 eigenvectors"
