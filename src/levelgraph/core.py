@@ -8,16 +8,22 @@ cliques(verts), lists the simplices inside a vertex set at a cost that
 follows the subgraph on verts; the whole complex is its result on every
 vertex, cached on the graph.
 
-Counting is a separate walk, _clique_counts, because a count needs no
-simplex: f_vector() and euler_characteristic read it when no complex is
-cached, and _euler_of (the chi of a vertex set) always does.  It goes
-depth first and holds one candidate list per level, so its memory is
-O(depth x degree) where a listing holds every simplex.  Listing stays
-breadth first, since it must return each dimension's group in
-lexicographic order.  The dimension needs only the largest clique, so it
-is found by a search that builds no complex when none is cached, unless
-the builder knew it; that search drops branches that cannot beat the
-largest clique found, where a count must visit every clique.
+Listing is one depth-first walk of the clique tree, _clique_walk: a
+clique grows by its candidates (the common neighbours inside verts after
+its last vertex), children in increasing order, so a preorder meets each
+dimension's cliques in lexicographic order.  It holds the candidate list
+of each clique on its path, so beyond its result its memory is
+O(depth x degree).  Given a bit mask per vertex, it keeps only the
+cliques whose masks OR to a target: levelset._locus asks it for the
+cliques that straddle every level.  Counting is a separate loop,
+_clique_counts, because a count builds no tuple and need not descend
+into the leaves: a clique's candidates add to the next dimension's count
+at once.  f_vector() and euler_characteristic read it when no complex is
+cached, and _euler_of (the chi of a vertex set) always does.  The
+dimension needs only the largest clique, so it is found by a search that
+builds no complex when none is cached, unless the builder knew it; that
+search drops branches that cannot beat the largest clique found, where a
+walk must visit every clique.
 
 Every graph is assembled in one place, SimplicialGraph._assemble, from one
 neighbour set per vertex; the assembly checks labels and coordinates for
@@ -160,27 +166,22 @@ class SimplicialGraph:
 
         Groups run from dimension 0 to the largest clique inside verts, each
         in lexicographic order, so the result is simplices() with every
-        simplex that leaves verts dropped.  They are enumerated from verts
-        alone: a simplex grows by the common neighbours inside verts above
-        its last vertex, so the cost follows the subgraph on verts, however
-        large the neighbourhoods around it.  When verts holds every vertex
-        the result is the complex, and it is cached.
+        simplex that leaves verts dropped.  They are listed by one
+        depth-first walk of verts alone (_clique_walk): a simplex grows by
+        the common neighbours inside verts above its last vertex, so the
+        cost follows the subgraph on verts, however large the
+        neighbourhoods around it.  An id outside 0..n-1 raises InputError.
+        When verts holds every vertex the result is the complex, and it is
+        cached.
         """
+        verts = list(verts)
         keep = set(verts)
-        nbrs = self.neighbors
-        groups = []
-        # each entry pairs a simplex with the candidate vertices able to extend it
-        level = [((v,), sorted(u for u in nbrs[v] & keep if u > v)) for v in sorted(keep)]
-        while level:
-            groups.append(tuple(s for s, _ in level))
-            nxt = []
-            for s, cand in level:
-                for i, v in enumerate(cand, 1):
-                    nv, rest = nbrs[v], cand[i:]  # an empty rest skips a comprehension call
-                    nxt.append((s + (v,), [u for u in rest if u in nv] if rest else []))
-            level = nxt
-        groups = tuple(groups)
-        if len(keep) == self.n:  # the cliques of every vertex are the whole complex
+        n = self.n
+        if keep and (min(keep) < 0 or max(keep) >= n):
+            bad = next(v for v in verts if not 0 <= v < n)
+            raise InputError(f"vertex {bad} is out of range for n={n}")
+        groups = tuple(map(tuple, _clique_walk(self.neighbors, keep)))
+        if len(keep) == n:  # the cliques of every vertex are the whole complex
             self._simplices = groups
         return groups
 
@@ -248,6 +249,62 @@ def _float_points(coordinates: Optional[Sequence[Sequence[float]]]):
     if len({len(p) for p in points}) > 1:
         raise InputError("coordinates differ in length")
     return points
+
+
+def _clique_walk(nbrs: Sequence[frozenset], verts: Iterable[int],
+                 masks: Optional[Sequence[int]] = None, target: int = 0) -> list[list[Simplex]]:
+    """The cliques of the subgraph on verts, one list per dimension.
+
+    A depth-first walk: a clique is extended by its candidates (the common
+    neighbours inside verts after its last vertex) in increasing order, so
+    the preorder lists each dimension in lexicographic order.  The walk
+    holds the candidate list of each clique on its path, so beyond the
+    result its memory is O(depth x degree).  Without masks every clique
+    is kept.  With masks (an int per vertex id), a clique is kept when its
+    vertices' masks OR to target, and any group may then be empty.
+    """
+    keep = set(verts)
+    size = len(keep)
+    groups = [[]] if keep else []
+    for v in sorted(keep):
+        m = target if masks is None else masks[v]
+        if m == target:
+            groups[0].append((v,))
+        nv = nbrs[v]
+        # a neighbour set larger than verts is intersected first, as in _clique_counts
+        cand = sorted(u for u in (nv & keep if len(nv) > size else nv) if u > v and u in keep)
+        if not cand:
+            continue
+        if len(groups) == 1:
+            groups.append([])
+        # cand extends the clique s, whose masks OR to m, and cand[i] is its
+        # next candidate; group collects the cliques one vertex larger than
+        # s, of dimension k; stack holds (s, m, cand, i) for the path below
+        s, i, k, group, stack = (v,), 0, 1, groups[1], []
+        while True:
+            if i < len(cand):
+                u = cand[i]
+                i += 1
+                t = s + (u,)
+                mt = target if masks is None else m | masks[u]
+                if mt == target:
+                    group.append(t)
+                if i < len(cand):  # u has candidates after it
+                    nu = nbrs[u]
+                    rest = [w for w in cand[i:] if w in nu]
+                    if rest:
+                        stack.append((s, m, cand, i))
+                        s, m, cand, i, k = t, mt, rest, 0, k + 1
+                        if k == len(groups):
+                            groups.append([])
+                        group = groups[k]
+            elif stack:
+                s, m, cand, i = stack.pop()
+                k -= 1
+                group = groups[k]
+            else:
+                break
+    return groups
 
 
 def _clique_counts(nbrs: Sequence[frozenset], verts: Iterable[int]) -> tuple[int, ...]:

@@ -10,13 +10,17 @@ c.numerator * x.denominator (denominators are positive), and a zero is a
 level hitting the vertex.  A simplex straddles a level when it has
 vertices on both sides.  Such a simplex is a clique, so each of its
 vertices has a neighbour across the level: only the cliques of the band
-(the vertices with a neighbour across every level) are enumerated.  When
-g carries coordinates, they are interpolated, reading the sides decided
-for the band, before the graph is built.
+(the vertices with a neighbour across every level) are walked, and the
+walk (core._clique_walk) keeps a clique only when its vertices' side
+masks show both sides of every level, so no clique is tested after it is
+listed.  When g carries coordinates, they are interpolated, reading the
+sides decided for the band, before the graph is built.
 
 A surface's triangles come from one walk around each unit sphere, which
 also checks that the graph is a 2-graph: no separate verification and no
-clique complex (_triangles, which lagrange reads too).
+clique complex (_triangles, which lagrange reads too).  They are oriented
+by crossing each edge to its other triangle through an index of the
+edges, which also decides orientability.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .core import Simplex, SimplicialGraph
+from .core import Simplex, SimplicialGraph, _clique_walk
 from .errors import DimensionExceeded, InputError, LevelHitsVertex, MissingCoordinates, NotASurface
 from .rational import as_fraction, as_fraction_vector
 from .refine import containment_graph
@@ -49,23 +53,31 @@ def _locus(g, functions, levels) -> LevelSurfaceGraph:
     neighbour on the other side of every level.  A simplex straddling a
     level has vertices on both sides of it, and it is a clique, so each of
     its vertices is adjacent to one across.  Hence only the cliques of the
-    band are enumerated, and they come in the order of g.simplices(), so
-    the origin is the one a filter of the whole complex gives.
+    band are walked, and the straddle test is made inside the walk: bit 2i
+    of a vertex's mask says it is below level i and bit 2i + 1 above it,
+    and a clique straddles every level when its masks OR to all 2k bits.
+    The walk keeps the order of g.simplices(), so the origin is the one a
+    filter of the whole complex gives.
     """
     belows = []
-    for values, c in zip(functions, levels):
+    masks = [0] * g.n
+    for i, (values, c) in enumerate(zip(functions, levels)):
         cn, cd = c.numerator, c.denominator
         sides = [x.numerator * cd - cn * x.denominator for x in values]
         if 0 in sides:
             raise LevelHitsVertex(sides.index(0), c)
+        below, above = 1 << 2 * i, 2 << 2 * i
+        masks = [m | (below if side < 0 else above) for m, side in zip(masks, sides)]
         belows.append({v for v, side in enumerate(sides) if side < 0})
     nbrs = g.neighbors
     band = [v for v in range(g.n)
             if all(not nbrs[v].isdisjoint(b) if v not in b else not b.issuperset(nbrs[v])
                    for b in belows)]
     k = len(levels)
-    origin = tuple(s for group in g.cliques(band)[k:] for s in group
-                   if all(not b.isdisjoint(s) and not b.issuperset(s) for b in belows))
+    # a clique of fewer than k + 1 vertices can straddle every level too (an
+    # edge from below both levels to above both), so groups below k are cut
+    groups = _clique_walk(nbrs, band, masks, (1 << 2 * k) - 1)
+    origin = tuple(s for group in groups[k:] for s in group)
     coords = None
     if g.coordinates is not None:
         coords = _interpolate(g, origin, functions, levels, belows)
@@ -176,29 +188,37 @@ def surface_triangles(s) -> SurfaceTriangles:
     """Triangles of a 2-graph with a best-effort consistent orientation.
 
     Accepts a level surface or a plain graph (NotASurface: see _triangles).
-    The link N(a) & N(b) of an edge ab is two vertices, so (a, b, c)
-    crosses ab as (b, a, w), w the other one.  It is orientable iff no
-    directed edge is used twice; a parity obstruction clears the flag
-    instead of failing.
+    In a 2-graph each edge lies in two triangles, indexed from the sorted
+    triangle list, so (a, b, c) crosses ab to the other one, oriented
+    (b, a, w).  It is orientable iff every triangle reached again already
+    runs ab as (b, a); a parity obstruction clears the flag instead of
+    failing.
     """
     graph = s.graph if hasattr(s, "graph") else s
-    nbrs = graph.neighbors
+    n = graph.n
     tris = _triangles(graph)
-    oriented: dict[Simplex, tuple[int, int, int]] = {}
-    for seed in tris:
-        if seed in oriented:
+    # edge a < b, keyed a * n + b, to the sum of its two triangles' indices
+    pair_sum: dict[int, int] = {}
+    for i, (x, y, z) in enumerate(tris):
+        for e in (x * n + y, x * n + z, y * n + z):
+            pair_sum[e] = pair_sum.get(e, 0) + i
+    oriented = [None] * len(tris)
+    orientable = True
+    for seed, t in enumerate(tris):
+        if oriented[seed] is not None:
             continue
-        oriented[seed] = seed
+        oriented[seed] = t
         stack = [seed]
         while stack:
-            x, y, z = oriented[stack.pop()]
-            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                (w,) = (nbrs[a] & nbrs[b]) - {c}
-                across = tuple(sorted((a, b, w)))
-                if across not in oriented:
-                    oriented[across] = (b, a, w)  # opposite direction along ab
-                    stack.append(across)
-    triangles = tuple(oriented[t] for t in tris)
-    del oriented  # freed first, so the dict and the directed edge set are not held at once
-    directed = {e for x, y, z in triangles for e in ((x, y), (y, z), (z, x))}
-    return SurfaceTriangles(triangles, len(directed) == 3 * len(tris))
+            i = stack.pop()
+            x, y, z = oriented[i]
+            for a, b in ((x, y), (y, z), (z, x)):
+                j = pair_sum[a * n + b if a < b else b * n + a] - i
+                o = oriented[j]
+                if o is None:
+                    p, q, r = tris[j]
+                    oriented[j] = (b, a, p + q + r - a - b)  # opposite direction along ab
+                    stack.append(j)
+                elif o[o.index(b) - 2] != a:  # o does not run ab as (b, a)
+                    orientable = False
+    return SurfaceTriangles(tuple(oriented), orientable)

@@ -7,7 +7,10 @@ Validates:
       coordinate lists of the wrong length, points of unequal length
     - induced builds the graph its edge-list form built, bit for bit
     - clique enumeration against a subset-scan oracle
-    - cliques(verts) against a filter of the complex, with it cached or not
+    - cliques(verts) against a filter of the complex, with it cached or not,
+      and against the breadth-first lister it replaced, on whole sets and
+      on shuffled, repeated, iterated and empty subsets; only a whole set
+      is cached, and an id outside 0..n-1 raises InputError
     - the clique search for dimension() against the complex, leaving it unbuilt
     - Euler characteristic, additivity, join formula
     - the f-vector and the chi of a vertex set counted without listing,
@@ -172,6 +175,65 @@ def test_cliques_of_every_vertex_are_cached_as_the_complex():
     h = cross_polytope(3)
     h.cliques(range(1, h.n))
     assert h._simplices is None
+
+
+def test_cliques_reject_ids_out_of_range():
+    # a negative id used to index another vertex's neighbour set, listing
+    # the bogus edge (-2, 0) here; six ids cached a complex holding (-1,)
+    g = octahedron()
+    with pytest.raises(InputError, match=r"vertex -1 is out of range for n=6"):
+        g.cliques([-1, -2, 0])
+    with pytest.raises(InputError, match=r"vertex -1 is out of range for n=6"):
+        g.cliques([-1, 0, 1, 2, 3, 4])
+    assert g._simplices is None
+    with pytest.raises(InputError, match=r"vertex 6 is out of range for n=6"):
+        g.cliques(iter([0, 6, 1, 7]))  # an id >= n used to raise a bare IndexError
+    g.cliques([0, 0, 1, 2, 3, 4])  # n ids, but not every vertex
+    assert g._simplices is None
+    assert g.simplices()[0] == tuple((v,) for v in range(6))
+    with pytest.raises(InputError, match=r"vertex 0 is out of range for n=0"):
+        SimplicialGraph(0, []).cliques([0])
+
+
+def _cliques_breadth_first(g, verts):
+    """cliques(verts) as it was: level by level, holding every (simplex,
+    candidates) pair of a dimension at once."""
+    keep = set(verts)
+    nbrs = g.neighbors
+    groups = []
+    level = [((v,), sorted(u for u in nbrs[v] & keep if u > v)) for v in sorted(keep)]
+    while level:
+        groups.append(tuple(s for s, _ in level))
+        nxt = []
+        for s, cand in level:
+            for i, v in enumerate(cand, 1):
+                nv, rest = nbrs[v], cand[i:]
+                nxt.append((s + (v,), [u for u in rest if u in nv] if rest else []))
+        level = nxt
+    return tuple(groups)
+
+
+def test_depth_first_cliques_match_the_breadth_first_lister():
+    rng = random.Random(27)
+    for g in _counting_cases():
+        whole = _cliques_breadth_first(g, range(g.n))
+        subsets = [[], [v for v in range(g.n) if rng.random() < 0.5]]
+        for p in (0.2, 0.5, 0.9):
+            verts = [v for v in range(g.n) if rng.random() < p]
+            rng.shuffle(verts)
+            subsets.append(verts)
+            subsets.append(verts + rng.choices(verts, k=len(verts)) if verts else [])  # duplicates
+        for verts in subsets:
+            expected = _cliques_breadth_first(g, verts)
+            whole_set = set(verts) == set(range(g.n))
+            for given in (verts, iter(verts)):
+                h = SimplicialGraph(g.n, g.edges())
+                assert h.cliques(given) == expected
+                assert (h._simplices is not None) == whole_set
+        h = SimplicialGraph(g.n, g.edges())
+        shuffled = rng.sample(range(g.n), g.n)
+        assert h.cliques(iter(shuffled + shuffled[: g.n // 2])) == whole
+        assert h._simplices == whole
 
 
 def test_f_vectors():
