@@ -143,8 +143,12 @@ class SimplicialGraph:
     # -- derived graphs --------------------------------------------------
 
     def induced(self, verts: Iterable[int]) -> "SimplicialGraph":
-        """Induced subgraph; vertex labels record where vertices came from."""
+        """Induced subgraph; vertex labels record where vertices came from.
+        An id outside 0..n-1 raises InputError."""
+        verts = list(verts)
         sel = sorted(set(verts))
+        if sel and (sel[0] < 0 or sel[-1] >= self.n):
+            raise _out_of_range(verts, self.n)
         index = {v: i for i, v in enumerate(sel)}
         nbrs = [set() for _ in sel]
         for i, v in enumerate(sel):
@@ -178,8 +182,7 @@ class SimplicialGraph:
         keep = set(verts)
         n = self.n
         if keep and (min(keep) < 0 or max(keep) >= n):
-            bad = next(v for v in verts if not 0 <= v < n)
-            raise InputError(f"vertex {bad} is out of range for n={n}")
+            raise _out_of_range(verts, n)
         groups = tuple(map(tuple, _clique_walk(self.neighbors, keep)))
         if len(keep) == n:  # the cliques of every vertex are the whole complex
             self._simplices = groups
@@ -236,6 +239,12 @@ class SimplicialGraph:
 
 
 # -- module level operations ----------------------------------------------
+
+
+def _out_of_range(verts: list, n: int) -> InputError:
+    """The error that names the first id of verts outside 0..n-1."""
+    bad = next(v for v in verts if not 0 <= v < n)
+    return InputError(f"vertex {bad} is out of range for n={n}")
 
 
 def _float_points(coordinates: Optional[Sequence[Sequence[float]]]):

@@ -36,9 +36,24 @@ non-adjacent points and a 1-sphere a cycle of length >= 4 (_cycle checks
 the length too and returns the walk, which levelset._triangles reads),
 decided without an expansion.  A connected graph whose
 unit spheres are all circles is a closed surface, a 2-sphere iff chi =
-V - E/3 = 2 by their classification, and check 3 has required that: one
-expansion, check 4 and no peel or memo entry.  Only whole graphs reach
-this rule; the pass below decides the 2-sphere unit spheres of 3-graphs.
+V - E/3 = 2 by their classification: one expansion, check 4 and no peel
+or memo entry.  Only whole graphs reach this rule; the pass below decides
+the 2-sphere unit spheres of 3-graphs.
+
+A whole graph at d = 2 or 3 runs check 4 before check 3, because a link
+pass that names no vertex fixes chi, which then is not counted: V - E/3
+for a closed surface (3F = 2E), and 0 when every unit sphere is a
+2-sphere.  For the latter, with v, e, f, t the vertex, edge, triangle
+and tetrahedron counts (a 2-sphere holds no K4, so G no K5), the
+simplices of S(x) are those of G through x without x, so summing
+chi(S(x)) = 2 over x gives 2e - 3f + 4t = 2v; a triangle xyz lies in
+exactly two tetrahedra, the two neighbours of z on the circle that is y's
+unit sphere in S(x), so f = 2t, and chi = v - e + f - t = v - e + f/2 = 0
+(Gauss-Bonnet, Knill arXiv:1111.5395).  The graph's expansion is spent
+before the pass.  chi is counted only when the pass names a vertex or
+runs out of budget, and when it is wrong the budget goes back to what it
+was before the spend and chi's witness is returned: every report is the
+one of the order above.
 
 When every S(x) of a graph must be a 2-sphere (is_dgraph(., 3), and the
 unit sphere check of every 3-sphere, also inside a 4-sphere), the rule
@@ -351,7 +366,8 @@ def is_contractible(g: SimplicialGraph, budget: Optional[int] = None) -> Verific
 def _sphere(base, active, d, budget):
     """None when the induced subgraph on active is a d-sphere, else the
     witness of the first check that fails (see the module docstring).  The
-    Euler characteristic is checked on the whole graph only."""
+    Euler characteristic is checked on the whole graph only, after the link
+    check at d = 2 and 3."""
     n = len(active)
     if n == 0:  # only the (-1)-sphere is empty
         return None if d == -1 else "graph is empty"
@@ -366,16 +382,19 @@ def _sphere(base, active, d, budget):
         return None
     if d >= 1 and not _connected(base, active):
         return "graph is disconnected"
-    if n == base.n:
-        chi, sphere_chi = euler_characteristic(base), 1 + (-1) ** d
-        if chi != sphere_chi:
-            return f"Euler characteristic {chi}, a {d}-sphere has {sphere_chi}"
-    if d >= 3 and (active, d) in budget.memo:
-        return budget.memo[active, d]
-    if d >= 2:
-        budget.spend()
-    witness = _bad_link(base, active, d, budget)
-    # only whole graphs reach d = 2, so a closed surface here has passed chi = 2
+    if n == base.n and d in (2, 3):
+        witness = _links_then_euler(base, active, d, budget)
+        if isinstance(witness, str):  # chi's witness; a bad link is a vertex
+            return witness
+    else:
+        if n == base.n and (chi_witness := _euler_witness(euler_characteristic(base), d)):
+            return chi_witness
+        if d >= 3 and (active, d) in budget.memo:
+            return budget.memo[active, d]
+        if d >= 2:
+            budget.spend()
+        witness = _bad_link(base, active, d, budget)
+    # only whole graphs reach d = 2, so a closed surface here has chi = 2
     if witness is None and d != 2 and (d < 2 or not _peel(
             base, (active - {x} for x in _order(base, active)), budget)):
         witness = "no vertex deletion leaves a contractible graph"
@@ -384,18 +403,55 @@ def _sphere(base, active, d, budget):
     return witness
 
 
+def _euler_witness(chi, d) -> Optional[str]:
+    """The witness of the Euler characteristic check of a d-sphere, or None."""
+    sphere_chi = 1 + (-1) ** d
+    if chi != sphere_chi:
+        return f"Euler characteristic {chi}, a {d}-sphere has {sphere_chi}"
+    return None
+
+
+def _links_then_euler(base, active, d, budget):
+    """The least bad vertex of a connected whole graph at d = 2 or 3, or None,
+    unless chi is wrong: then chi's witness, with the budget as it was before
+    the pass, so that the report is the one of checking chi first.  chi is
+    read from a pass that names no witness (module docstring) and counted
+    only when it names one or runs out."""
+    before = budget.remaining, budget.used
+    try:
+        budget.spend()
+        witness = _bad_link(base, active, d, budget)
+    except _Exhausted as stop:
+        witness = stop
+    if witness is None:
+        chi = base.n - base.edge_count() // 3 if d == 2 else 0
+    else:
+        chi = euler_characteristic(base)
+    if chi_witness := _euler_witness(chi, d):
+        budget.remaining, budget.used = before
+        return chi_witness
+    if isinstance(witness, _Exhausted):
+        raise witness
+    return witness
+
+
 def _bad_link(base, active, d, budget) -> Optional[int]:
-    """The least vertex whose unit sphere is not a (d-1)-sphere, or None;
-    for d = 3 by the one pass over edge links of the module docstring."""
+    """The least vertex whose unit sphere is not a (d-1)-sphere, or None; for
+    d = 3 by the one pass over edge links of the module docstring.  On the
+    whole graph S(x) is x's neighbour set, so d = 2 and 3 read it as it is."""
+    nbrs = base.neighbors
+    whole = len(active) == base.n
+    if d == 2 and whole:  # a 1-sphere is what _cycle accepts
+        return next((x for x in range(base.n) if _cycle(base, nbrs[x]) is None), None)
     if d != 3:
         for x in sorted(active):
-            if _sphere(base, base.neighbors[x] & active, d - 1, budget) is not None:
+            if _sphere(base, nbrs[x] & active, d - 1, budget) is not None:
                 return x
         return None
-    nbrs = base.neighbors
-    twice_edges = dict.fromkeys(active, 0)  # sum of |link(xy)|: 2 E(S(x)) on x's turn
-    for x in sorted(active):
-        sphere = nbrs[x] & active
+    # sum of |link(xy)|: 2 E(S(x)) on x's turn
+    twice_edges = [0] * base.n if whole else dict.fromkeys(active, 0)
+    for x in range(base.n) if whole else sorted(active):
+        sphere = nbrs[x] if whole else nbrs[x] & active
         if not sphere or not _connected(base, sphere):
             return x
         budget.spend()

@@ -5,7 +5,8 @@ Validates:
     - the edge-list constructor and the neighbour-set assembly reject the same
       bad input: self loops, ids out of range, negative counts, label and
       coordinate lists of the wrong length, points of unequal length
-    - induced builds the graph its edge-list form built, bit for bit
+    - induced builds the graph its edge-list form built, bit for bit, and
+      an id outside 0..n-1 raises InputError naming the first one given
     - clique enumeration against a subset-scan oracle
     - cliques(verts) against a filter of the complex, with it cached or not,
       and against the breadth-first lister it replaced, on whole sets and
@@ -193,6 +194,20 @@ def test_cliques_reject_ids_out_of_range():
     assert g.simplices()[0] == tuple((v,) for v in range(6))
     with pytest.raises(InputError, match=r"vertex 0 is out of range for n=0"):
         SimplicialGraph(0, []).cliques([0])
+
+
+def test_induced_rejects_ids_out_of_range():
+    # a negative id used to join vertex 5's neighbours in through
+    # neighbors[-1]; an id >= n raised a bare IndexError
+    g = octahedron()
+    with pytest.raises(InputError, match=r"vertex -1 is out of range for n=6"):
+        g.induced([-1, 0, 1])
+    with pytest.raises(InputError, match=r"vertex 6 is out of range for n=6"):
+        g.induced(iter([0, 6, 1, -2]))  # the first bad id in the order given
+    with pytest.raises(InputError, match=r"vertex 0 is out of range for n=0"):
+        SimplicialGraph(0, []).induced([0])
+    assert g.induced([]).n == 0
+    assert g.induced([5, 0, 5]).labels == (0, 5)
 
 
 def _cliques_breadth_first(g, verts):

@@ -13,6 +13,9 @@ Validates:
     - the d = 3 pass keeps every verdict, witness and expansion count, and
       every budget threshold; reading triangle links and walking only the
       edge links of 8 or more vertices agrees with walking every edge link
+    - whole graphs at d = 2 and 3 run the link pass before counting chi and
+      keep every report of counting it first, at every budget; a "yes"
+      counts no chi, and a pass that names a witness counts it once
     - a verdict depends only on the graph, the dimension and the budget, not
       on earlier calls
     - only is_sphere for d >= 2, is_dgraph for d >= 3 and is_contractible
@@ -32,7 +35,7 @@ from itertools import combinations
 
 import pytest
 
-from levelgraph.core import SimplicialGraph, disjoint_union, join
+from levelgraph.core import SimplicialGraph, disjoint_union, euler_characteristic, join
 from levelgraph.catalog import (cross_polytope, cycle, icosahedron, kuhn_grid,
                                 octahedron, random_sphere, sixteen_cell, suspension, wheel)
 from levelgraph.refine import barycentric
@@ -485,6 +488,102 @@ def test_link_pass_agrees_with_walking_every_edge_link(monkeypatch):
                 assert got == want, (check.__name__, g.n, d, budget)
                 verdicts.add((got["verdict"], type(got["witness"])))
     assert {("yes", type(None)), ("no", int), ("resource_limit", str)} <= verdicts
+
+
+def _euler_first_sphere(sphere):
+    """_sphere with the entry it had before whole graphs at d = 2 and 3 ran
+    the link pass first: chi is counted before the first spend, and a
+    2-sphere's unit spheres are decided as 1-spheres; sphere is the module's
+    _sphere, which every other call goes to."""
+    def entry(base, active, d, budget):
+        if not active or len(active) != base.n or d not in (2, 3):
+            return sphere(base, active, d, budget)
+        if not topology._connected(base, active):
+            return "graph is disconnected"
+        chi, sphere_chi = euler_characteristic(base), 1 + (-1) ** d
+        if chi != sphere_chi:
+            return f"Euler characteristic {chi}, a {d}-sphere has {sphere_chi}"
+        budget.spend()
+        if d == 2:
+            return next((x for x in sorted(active)
+                         if sphere(base, base.neighbors[x] & active, 1, budget) is not None), None)
+        witness = topology._bad_link(base, active, 3, budget)
+        if witness is None and not topology._peel(
+                base, (active - {x} for x in topology._order(base, active)), budget):
+            witness = "no vertex deletion leaves a contractible graph"
+        budget.memo[active, 3] = witness
+        return witness
+    return entry
+
+
+def _links_first_cases():
+    """(graph, d): the link pass cases and their mutations at d = 3, seeded
+    2-spheres and their suspensions, tori, RP^2 and disjoint unions."""
+    twos = [random_sphere(seed, size) for seed, size in ((31, 12), (32, 40), (33, 90))]
+    tori = [kuhn_grid(2, (k, k), periodic=True) for k in (4, 5)]
+    cases = [(g, 3) for g in _link_pass_cases()]
+    cases += [(g, 2) for g in twos + tori + [flag_rp2(), banana(), icosahedron()]]
+    cases += [(suspension(g), 3) for g in twos + tori + [flag_rp2(), banana()]]
+    cases += [(disjoint_union(octahedron(), tori[0]), 2), (disjoint_union(*twos[:2]), 2),
+              (disjoint_union(sixteen_cell(), suspension(tori[1])), 3)]
+    return cases + [(g, 5 - d) for g, d in cases if g.n <= 40]
+
+
+def test_links_first_keeps_every_report_of_counting_euler_first(monkeypatch):
+    """Running the link pass before chi on whole graphs at d = 2 and 3 keeps
+    every verdict, witness and expansion count of counting chi first, at
+    every budget: also when chi is wrong and the pass fails or runs out."""
+    outcomes = set()
+    for g, d in _links_first_cases():
+        every = frozenset(range(g.n))
+        chi_ok = euler_characteristic(g) == 1 + (-1) ** d
+        for budget in (0, 1, 3, 17, None):
+            got = vars(is_sphere(g, d, budget=budget))
+            with monkeypatch.context() as m:
+                m.setattr(topology, "_sphere", _euler_first_sphere(topology._sphere))
+                want = vars(is_sphere(g, d, budget=budget))
+            assert got == want, (g.n, d, budget)
+            if not g.n or not topology._connected(g, every):
+                continue
+            search = topology._Budget(topology.DEFAULT_BUDGET if budget is None else budget)
+            try:
+                search.spend()
+                links = "fails" if topology._bad_link(g, every, d, search) is not None else "passes"
+            except topology._Exhausted:
+                links = "runs out"
+            outcomes.add((chi_ok, links))
+    assert {(False, "fails"), (True, "runs out"), (False, "runs out")} <= outcomes
+
+
+def test_links_first_counts_euler_only_when_the_pass_names_a_witness(monkeypatch):
+    def no_count(g):
+        raise AssertionError("chi was counted")
+
+    monkeypatch.setattr(topology, "euler_characteristic", no_count)
+    for g, d in [(icosahedron(), 2), (random_sphere(5, 60), 2),
+                 (sixteen_cell(), 3), (suspension(random_sphere(6, 30)), 3)]:
+        assert is_sphere(g, d).ok, (g.n, d)
+    r = is_sphere(kuhn_grid(2, (5, 5), periodic=True), 2)
+    assert (r.verdict, r.witness, r.expansions) == (
+        "no", "Euler characteristic 0, a 2-sphere has 2", 0)
+
+    counts = []
+
+    def counted(g):
+        counts.append(g.n)
+        return euler_characteristic(g)
+
+    monkeypatch.setattr(topology, "euler_characteristic", counted)
+    # the pass runs out, or names an apex whose unit sphere is RP^2, or names
+    # vertex 0, whose unit sphere is two circles; only banana's chi is right
+    rp2 = "Euler characteristic 1, a 3-sphere has 0"
+    for g, d, budget, witness, expansions in [(suspension(flag_rp2()), 3, 0, rp2, 0),
+                                              (suspension(flag_rp2()), 3, None, rp2, 0),
+                                              (banana(), 2, None, 0, 1)]:
+        counts.clear()
+        r = is_sphere(g, d, budget=budget)
+        assert (r.verdict, r.witness, r.expansions) == ("no", witness, expansions), (g.n, d)
+        assert counts == [g.n], (g.n, d, budget)
 
 
 def test_torus_not_a_sphere_without_search():
