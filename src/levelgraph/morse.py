@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Optional, Sequence
 
-from .core import SimplicialGraph, _euler_of, euler_characteristic
+from .core import SimplicialGraph, _euler_of, _out_of_range, euler_characteristic
 from .errors import InputError, NotLocallyInjective
 from .levelset import LevelSurfaceGraph, level_surface
 from .rational import as_fraction_vector
@@ -41,6 +41,12 @@ class IndexReport:
 class CurvatureVector:
     values: tuple[Fraction, ...]
     total: Fraction
+
+
+def _vertex(g, x):
+    """Raise InputError unless x is a vertex id of g, 0..n-1."""
+    if not 0 <= x < g.n:
+        raise _out_of_range([x], g.n)
 
 
 def _split(g, values, x):
@@ -66,6 +72,7 @@ def ph_index(g: SimplicialGraph, f: Sequence, x: int,
     f must differ from f(x) on every neighbour of x; ties elsewhere, even
     between two neighbours of x, are allowed.
     """
+    _vertex(g, x)
     below = _split(g, as_fraction_vector(f, g.n), x)
     lower = g.induced(below)
     chi = euler_characteristic(lower)  # counted, not listed
@@ -134,6 +141,7 @@ def central_surface(g: SimplicialGraph, f: Sequence, x: int) -> LevelSurfaceGrap
     In a d-graph this is a (d-2)-graph; its Euler characteristic determines
     the symmetric index.
     """
+    _vertex(g, x)
     values = as_fraction_vector(f, g.n)
     _split(g, values, x)  # raises on a tie with f(x)
     nbrs = sorted(g.neighbors[x])
@@ -154,6 +162,7 @@ def index_expectation(g: SimplicialGraph, x: int, samples: int,
                       seed: int) -> tuple[Fraction, float]:
     """Monte Carlo mean of the symmetric index over random orderings of the
     closed ball around x; returns (estimate, standard error)."""
+    _vertex(g, x)
     if samples <= 0:
         raise InputError("samples must be positive")
     rng = random.Random(seed)
@@ -184,6 +193,7 @@ def index_expectation_exact(g: SimplicialGraph, x: int) -> Fraction:
     of each size, so the average runs over subsets weighted by 1/(ball size
     * binomial(deg, size)) rather than over all permutations.
     """
+    _vertex(g, x)
     nbrs = sorted(g.neighbors[x])
     deg = len(nbrs)
     if deg > 16:

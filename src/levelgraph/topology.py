@@ -93,10 +93,12 @@ tested again only after a neighbour goes: until then S(x) is the same set,
 its failure is memoized, and testing it again changes nothing.  A vertex
 skipped because the memo holds A-{x} False is tested again after the next
 removal.  So the walk makes the search's link checks, spends and memo
-writes, in its order (tests/test_topology.py compares the two).  When no
-vertex is left to test, the walk hands the loop the path the search would
-hold there: each set it left with an iterator over the rest of its order,
-and the stalled set with none.  The loop backtracks from there.
+writes, in its order (tests/test_topology.py compares the two).  The
+path is the list of sets entered.  When no vertex is left to test, the
+loop memoizes the stalled set False and walks the set before it again
+with no new spend: the failed branch's set is now memoized False, so that
+walk skips it and takes the search's next branch, and the links tested
+before it fail again as memo lookups.
 """
 
 from __future__ import annotations
@@ -246,25 +248,19 @@ def _order(base, active) -> list[int]:
 
 
 def _removable(base, sphere, budget) -> bool:
-    # a contractible S(x) is nonempty and connected, so G-x stays connected
+    # a contractible S(x) is nonempty and connected, so G-x stays connected;
+    # a memoized S(x) is a lookup, as when a walk tests a failed link again
+    if sphere in budget.memo:
+        return budget.memo[sphere]
     return bool(sphere) and _connected(base, sphere) and _contractible(base, sphere, budget)
 
 
-def _removals(base, active, budget, after):
-    """active - {x} for each x after `after` in _order whose unit sphere S(x)
-    is contractible: the rest of a walked set's removals."""
-    order = _order(base, active)
-    for x in order[order.index(after) + 1:]:
-        if _removable(base, base.neighbors[x] & active, budget):
-            yield active - {x}
-
-
-def _walk(base, active, budget, path) -> bool:
-    """The search's first branch from the entered set active, as the module
-    docstring describes it; True when a removal reaches a cone or a set
-    memoized True.  Each set the walk leaves goes on path with the rest of
-    its removals, and the last set with none."""
+def _walk(base, path, budget) -> bool:
+    """The search's first branch from path[-1], as the module docstring
+    describes it; True when a removal reaches a cone or a set memoized True.
+    Each set the walk enters goes on path."""
     nbrs, memo = base.neighbors, budget.memo
+    active = path[-1]
     degree = {v: len(nbrs[v] & active) for v in active}
     count = [0] * len(active)  # vertices per degree; none has len(active) - 1
     for k in degree.values():
@@ -272,7 +268,6 @@ def _walk(base, active, budget, path) -> bool:
     heap = [(k, v) for v, k in degree.items()]
     heapify(heap)
     skipped = []
-    path.append((active, iter(())))
     while heap:
         k, x = heappop(heap)
         if degree.get(x) != k:
@@ -290,8 +285,7 @@ def _walk(base, active, budget, path) -> bool:
             skipped.append(x)
             continue
         budget.spend()
-        path[-1] = (active, _removals(base, active, budget, x))
-        path.append((rest, iter(())))
+        path.append(rest)
         active = rest
         del degree[x]
         count[k] -= 1
@@ -310,32 +304,28 @@ def _walk(base, active, budget, path) -> bool:
 def _peel(base, starts, budget) -> bool:
     """Whether some vertex set from starts reaches a point by removals.
 
-    A depth-first search whose path is a list of (vertex set, iterator of its
-    removals), so Python's stack does not grow with the number of vertices;
-    _walk takes the first branch from each set the loop enters.  Each set
-    entered spends one expansion; a set whose removals all fail is memoized
-    False, and on success every set on the path is memoized True."""
-    path = [(None, starts)]
+    A depth-first search whose path is the list of vertex sets it has
+    entered, so Python's stack does not grow with the number of vertices.
+    Each set entered spends one expansion.  When _walk stalls, the last set
+    is memoized False and the set before it is walked again with no new
+    spend: that walk skips the failed branch's set and takes the search's
+    next branch.  On success every set on the path is memoized True."""
     memo = budget.memo
-    while path:
-        nxt = next(path[-1][1], None)
-        if nxt is None:
-            active, _ = path.pop()
-            if path:
-                memo[active] = False
-        elif nxt in memo:  # a set memoized False was entered, so it is no cone
-            if memo[nxt]:
-                break
-        elif _dominating(base, nxt):
-            break
+    for start in starts:
+        if start in memo:  # a set memoized False was entered, so it is no cone
+            if memo[start]:
+                return True
+        elif _dominating(base, start):
+            return True
         else:
             budget.spend()
-            if _walk(base, nxt, budget, path):
-                break
-    else:
-        return False
-    memo.update((active, True) for active, _ in path[1:])
-    return True
+            path = [start]
+            while path:
+                if _walk(base, path, budget):
+                    memo.update((active, True) for active in path)
+                    return True
+                memo[path.pop()] = False
+    return False
 
 
 def _contractible(base, active, budget) -> bool:

@@ -2,8 +2,9 @@
 
 Polynomials are evaluated with exact rational arithmetic at the lattice
 points of a Kuhn grid, then fed through the iterated level-surface
-pipeline at level 0.  When 0 happens to be a value of some stage function
-the level is nudged by multiples of a tiny rational, so the construction
+pipeline at level 0.  When 0 happens to be a value of some stage function,
+sard_pipeline(perturb=True) moves the level to the middle of the gap up to
+the least value above it (up by 1 when none is above), so the construction
 stays exact while following the generic-level argument.
 
 Every lattice coordinate is X[i]/q over one common denominator q, so a

@@ -380,3 +380,16 @@ def test_integer_sides_of_a_vertex_match_fraction_compares():
             else:
                 nbrs = sorted(g.neighbors[x])
                 assert morse._split(g, values, x) == [nbrs[i] for i in below]
+
+
+@pytest.mark.parametrize("x", [-1, 6])
+@pytest.mark.parametrize("call", [
+    lambda g, x: ph_index(g, range(6), x),
+    lambda g, x: central_surface(g, range(6), x),
+    lambda g, x: index_expectation(g, x, 10, 0),
+    lambda g, x: index_expectation_exact(g, x),
+], ids=["ph_index", "central_surface", "index_expectation", "index_expectation_exact"])
+def test_per_vertex_functions_reject_ids_out_of_range(call, x):
+    """A negative id would index vertex n + x, and n would raise IndexError."""
+    with pytest.raises(InputError, match=rf"vertex {x} is out of range for n=6"):
+        call(octahedron(), x)

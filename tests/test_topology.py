@@ -782,26 +782,30 @@ def _replay_cases():
 def test_worklist_peel_replays_the_search(monkeypatch):
     """Every report, spend and memo write of the worklist peel is the search's,
     at every budget, also when the memo holds planted False entries for sets
-    on the way; both the memo skip and the hand-over to the loop run, the
-    hand-over also without planted entries (rp2_with_strip backtracks)."""
-    yields = []
+    on the way; both the memo skip and the backtrack run, the backtrack also
+    without planted entries (rp2_with_strip backtracks)."""
+    walked, rewalks = set(), []
 
-    def counted_removals(*args):
-        for rest in removals(*args):
-            yields.append(rest)
-            yield rest
-    removals = topology._removals
-    monkeypatch.setattr(topology, "_removals", counted_removals)
+    def counted_walk(base, path, budget):
+        again, entered = path[-1] in walked, len(path)
+        walked.add(path[-1])
+        found = walk(base, path, budget)
+        if again and (found or len(path) > entered):
+            rewalks.append(path[entered - 1])
+        return found
+    walk = topology._walk
+    monkeypatch.setattr(topology, "_walk", counted_walk)
     runs = backtracks = planted_runs = skips = 0
     for check, g, args in _replay_cases():
         for budget in REPLAY_BUDGETS:
             case = (check.__name__, g.n, args, budget)
             want = _logged_run(monkeypatch, _search_peel, check, g, args, budget)
-            stalled = len(yields)
+            walked.clear()
+            stalled = len(rewalks)
             got = _logged_run(monkeypatch, topology._peel, check, g, args, budget)
             assert got == want, case
             runs += 1
-            backtracks += len(yields) > stalled
+            backtracks += len(rewalks) > stalled
             if budget < 60 or check is is_dgraph or want[0]["verdict"] != "yes":
                 continue
             # the sets of the path from the first set entered to a cone: the
@@ -820,8 +824,8 @@ def test_worklist_peel_replays_the_search(monkeypatch):
             skips += check is is_contractible and path[1] in got[2]
             planted_runs += 1
     assert runs >= 1000 and planted_runs >= 40 and skips >= 20
-    # a walk stalled and the loop found another branch on the path it was
-    # handed: rp2_with_strip, barycentric(16-cell) and barycentric(cross_polytope(4))
+    # a walk stalled and the walk of the set before it found another branch:
+    # rp2_with_strip, barycentric(16-cell) and barycentric(cross_polytope(4))
     assert backtracks >= 5
 
 
@@ -832,6 +836,7 @@ def test_large_spheres_keep_their_reports():
         (is_sphere, barycentric(barycentric(sixteen_cell()).graph).graph, 3, 12_628),
         (is_sphere, suspension(random_sphere(3, 800)), 3, 3_924),
         (is_dgraph, barycentric(cross_polytope(4)).graph, 4, 16_478),
+        (is_sphere, barycentric(cross_polytope(4)).graph, 4, 59_756),
     ]
     for check, g, d, expansions in cases:
         r = check(g, d)
