@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import graphdoc
 from .core import _alternating_sum, euler_characteristic
 from .errors import LevelGraphError, InputError, UsageError
-from .rational import as_fraction
+from .rational import as_fraction, fraction_text
 
 if TYPE_CHECKING:
     from .core import SimplicialGraph
@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 def _json_default(x):
     """Write a Fraction as "p/q"; json.dumps calls this for what it cannot encode."""
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
+        return fraction_text(x)
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
@@ -113,7 +113,7 @@ def _surface_block(g: SimplicialGraph) -> dict:
     block = _graph_block(g)
     comps = components(g)
     block["components"] = len(comps)
-    if g.n > 0 and g.dimension() == 1 and all(g.degree(v) == 2 for v in range(g.n)):
+    if block["dimension"] == 1 and all(g.degree(v) == 2 for v in range(g.n)):
         block["cycle_lengths"] = sorted(len(c) for c in comps)
     return block
 
@@ -404,13 +404,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # it, and the f-vector is read from it instead of counted
             report["graph"] = _graph_block(doc.graph)
         report.update(body, timings={"total_s": round(time.perf_counter() - start, 6)})
+        # in the try: a rational too long to write is bad input like any other
+        text = json.dumps(report, indent=2, default=_json_default)
         note = f"exit {code}"
     except LevelGraphError as e:
-        report = {"command": args.command,
-                  "error": {"type": type(e).__name__, "message": str(e)}}
+        text = json.dumps({"command": args.command,
+                           "error": {"type": type(e).__name__, "message": str(e)}}, indent=2)
         code = EXIT_INPUT
         note = f"{type(e).__name__}: {e}"
-    print(json.dumps(report, indent=2, default=_json_default))
+    print(text)
     prog = f"levelgraph {args.command}" if args.command else "levelgraph"
     print(f"{prog}: {note}", file=sys.stderr)
     return code

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .core import SimplicialGraph
 from .errors import InputError
-from .rational import as_fraction
+from .rational import as_fraction, fraction_text
 
 FORMAT_VERSION = 1
 # a loaded graph allocates one neighbour set per vertex before any edge is read
@@ -132,7 +132,7 @@ def dumps(doc: GraphDocument) -> str:
         raw["vertices"] = g.n
     raw["edges"] = [list(e) for e in g.edges()]
     if doc.values:
-        raw["values"] = {name: [f"{v.numerator}/{v.denominator}" for v in vals]
+        raw["values"] = {name: [fraction_text(v) for v in vals]
                          for name, vals in doc.values.items()}
     if g.coordinates is not None:
         raw["coordinates"] = [list(p) for p in g.coordinates]
@@ -145,5 +145,6 @@ def load(path: str) -> GraphDocument:
 
 
 def save(doc: GraphDocument, path: str) -> None:
+    text = dumps(doc)  # before the file is opened: a rational may be too long to write
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
+        fh.write(text)

@@ -5,6 +5,7 @@ accepted at the boundary and converted by their exact binary expansion, so
 the conversion itself never introduces rounding.  Strings are parsed by
 Fraction after a check that a decimal exponent stays within MAX_EXPONENT
 in magnitude: Fraction("1e10000000") would spend seconds building 10**N.
+fraction_text writes the "p/q" form that reports and documents hold.
 """
 
 from __future__ import annotations
@@ -46,6 +47,17 @@ def as_fraction(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse rational {x!r}") from exc
     raise InputError(f"cannot interpret {type(x).__name__} as a rational")
+
+
+def fraction_text(x: Fraction) -> str:
+    """x as "p/q".  A part longer than the interpreter's limit on int-to-text
+    conversion (4300 digits by default) is an InputError; the limit stays,
+    as it guards against conversions that take quadratic time."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise InputError("cannot write a rational whose numerator or denominator is over "
+                         "the interpreter's digit limit for int-to-text conversion") from None
 
 
 def as_fraction_vector(values: Sequence, n: Optional[int] = None) -> tuple[Fraction, ...]:

@@ -8,23 +8,19 @@ the least value above it (up by 1 when none is above), so the construction
 stays exact while following the generic-level argument.
 
 Every lattice coordinate is X[i]/q over one common denominator q, so a
-polynomial is compiled into an integer kernel: bound to q, it maps the
-integer numerators X to value * q**degree * C, where degree is the
-syntactic degree and C a multiple of the literal denominators.  Sums scale
-each side by a fixed integer, products multiply and powers power, so no
-intermediate is a Fraction; each value is one Fraction(kernel(X), q**degree
-* C), normalised once.  Polynomial.evaluate binds q to the lcm of the
-point's denominators, and triangulate_variety binds it once per grid.
+polynomial is compiled once, at parse time, into one integer expression
+kernel(X, q) == value * q**degree * C, where degree is the syntactic degree
+and C a multiple of the literal denominators: no intermediate is a
+Fraction, and each value is one Fraction(kernel(X, q), q**degree * C).
 """
 
 from __future__ import annotations
 
 import ast
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import lcm
 from typing import Callable, Optional, Sequence, Union
 
@@ -36,10 +32,9 @@ from .sard import SardTrace, sard_pipeline
 # Caps on a polynomial, checked at parse time.  The largest polynomial a test
 # or the benchmark uses has 45 nodes (the benchmark's shifted torus) and an
 # exponent of 9 (a cube of a cube, in the random expressions of the tests).
-# An exponent counts times the exponents of the powers around it, so
-# (x^8)^8 has exponent 64; with both caps the degree is at most
-# MAX_EXPONENT * MAX_NODES, and the parse, the compile, the binding of a
-# kernel and every evaluation recurse at most MAX_NODES deep.
+# An exponent counts times those of the powers around it, so (x^8)^8 has
+# exponent 64; the degree is at most MAX_EXPONENT * MAX_NODES, the parse and
+# the compile recurse about MAX_NODES deep, and a kernel does not recurse.
 MAX_EXPONENT = 64
 MAX_NODES = 256
 
@@ -52,84 +47,39 @@ class Polynomial:
     """A parsed polynomial; its integer kernel is compiled at parse time.
 
     A point with coordinates X[i]/q, over one common denominator q, has the
-    value Fraction(fn(X), denominator) for (fn, denominator) = _kernel(q).
+    value Fraction(_kernel(X, q), q**_degree * _scale).
     """
 
     text: str
     nvars: int
     _degree: int
     _scale: int
-    _bind: Callable[[int], Union[int, Callable[[tuple[int, ...]], int]]]
-
-    def _kernel(self, q: int) -> tuple[Callable[[tuple[int, ...]], int], int]:
-        """The kernel bound to the denominator q, and what it divides by."""
-        fn = self._bind(q)
-        if not callable(fn):
-            value = fn
-            fn = lambda X: value
-        return fn, q ** self._degree * self._scale
+    _kernel: Callable[[tuple[int, ...], int], int]
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.nvars:
             raise InputError(f"expected {self.nvars} coordinates, got {len(point)}")
         point = [as_fraction(c) for c in point]
         q = lcm(*(c.denominator for c in point))
-        fn, denominator = self._kernel(q)
-        return Fraction(fn(tuple(c.numerator * (q // c.denominator) for c in point)),
-                        denominator)
+        X = tuple(c.numerator * (q // c.denominator) for c in point)
+        return Fraction(self._kernel(X, q), q ** self._degree * self._scale)
 
 
-def _sum(left, right, sl: int, sr: int):
-    """X -> left(X)*sl + right(X)*sr, where each side is a kernel or an int."""
-    if not callable(left):
-        left, right, sl, sr = right, left, sr, sl
-    if not callable(right):
-        k = right * sr
-        if not callable(left):
-            return left * sl + k
-        if sl == 1:
-            return lambda X: left(X) + k
-        return lambda X: left(X) * sl + k
-    if sl == 1:
-        if sr == 1:
-            return lambda X: left(X) + right(X)
-        if sr == -1:
-            return lambda X: left(X) - right(X)
-        return lambda X: left(X) + right(X) * sr
-    return lambda X: left(X) * sl + right(X) * sr
-
-
-def _product(left, right):
-    """X -> left(X) * right(X), where each side is a kernel or an int."""
-    if not callable(left):
-        left, right = right, left
-    if not callable(right):
-        if not callable(left):
-            return left * right
-        if right == 1:
-            return left
-        return lambda X: left(X) * right
-    return lambda X: left(X) * right(X)
-
-
-def _negative(f):
-    """X -> -f(X), where f is a kernel or an int."""
-    return (lambda X: -f(X)) if callable(f) else -f
-
-
-def _power(f, exponent: int):
-    """X -> f(X) ** exponent, where f is a kernel or an int."""
-    return (lambda X: f(X) ** exponent) if callable(f) else f ** exponent
+def _scaled(e: ast.expr, k: int, m: int) -> ast.expr:
+    """The expression e * q**k * m, leaving out any factor of 1."""
+    if k:
+        q = ast.Name("q", ast.Load())
+        e = ast.BinOp(e, ast.Mult(), q if k == 1 else ast.BinOp(q, ast.Pow(), ast.Constant(k)))
+    return e if m == 1 else ast.BinOp(e, ast.Mult(), ast.Constant(m))
 
 
 def _compile(node: ast.expr, names: dict[str, int], text: str, power: int = 1):
-    """Check node against the grammar and return (degree, scale, bind).
+    """Check node against the grammar and return (degree, scale, expr).
 
-    degree is the syntactic degree of node, and scale C a multiple of the
-    denominators of its literals.  bind(q) gives the node's kernel for
-    points X/q: an int function fn with fn(X) == value * q**degree * C, or
-    that int itself when node has no variable.  power is the product of
-    the exponents of the powers around node.
+    degree is the syntactic degree of node, scale C a multiple of the
+    denominators of its literals, and expr a new expression of int literals,
+    X[i], q, + - * ** and unary + - whose value at X/q is value * q**degree
+    * C.  power is the product of the exponents of the powers around node.
     """
     def fail(reason: str):
         raise UnparsablePolynomial(f"{text!r}: {reason}")
@@ -137,33 +87,29 @@ def _compile(node: ast.expr, names: dict[str, int], text: str, power: int = 1):
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, int) or isinstance(node.value, bool):
             fail(f"literal {node.value!r} is not an integer")
-        value = node.value
-        return 0, 1, lambda q: value
+        return 0, 1, ast.Constant(node.value)
     if isinstance(node, ast.Name):
         if node.id not in names:
             fail(f"unknown variable {node.id!r}")
-        get = operator.itemgetter(names[node.id])
-        return 1, 1, lambda q: get
+        return 1, 1, ast.Subscript(ast.Name("X", ast.Load()), ast.Constant(names[node.id]),
+                                   ast.Load())
     if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.UAdd, ast.USub)):
             fail("only unary plus and minus are allowed")
-        degree, scale, bind = _compile(node.operand, names, text, power)
-        if isinstance(node.op, ast.UAdd):
-            return degree, scale, bind
-        return degree, scale, lambda q: _negative(bind(q))
-    if not isinstance(node, ast.BinOp):
+        degree, scale, expr = _compile(node.operand, names, text, power)
+        expr = ast.UnaryOp(node.op, expr)
+    elif not isinstance(node, ast.BinOp):
         fail(f"unsupported syntax {type(node).__name__}")
-    if isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
-        dl, cl, bl = _compile(node.left, names, text, power)
-        dr, cr, br = _compile(node.right, names, text, power)
+    elif isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
+        dl, cl, el = _compile(node.left, names, text, power)
+        dr, cr, er = _compile(node.right, names, text, power)
         if isinstance(node.op, ast.Mult):
-            return dl + dr, cl * cr, lambda q: _product(bl(q), br(q))
-        # both sides brought to the larger degree and the common scale
-        degree, scale = max(dl, dr), lcm(cl, cr)
-        sign = 1 if isinstance(node.op, ast.Add) else -1
-        return degree, scale, lambda q: _sum(bl(q), br(q), q ** (degree - dl) * (scale // cl),
-                                             sign * q ** (degree - dr) * (scale // cr))
-    if isinstance(node.op, ast.Div):
+            degree, scale, expr = dl + dr, cl * cr, ast.BinOp(el, ast.Mult(), er)
+        else:  # both sides brought to the larger degree and the common scale
+            degree, scale = max(dl, dr), lcm(cl, cr)
+            expr = ast.BinOp(_scaled(el, degree - dl, scale // cl), node.op,
+                             _scaled(er, degree - dr, scale // cr))
+    elif isinstance(node.op, ast.Div):
         # division appears only in rational literals p/q, folded to a constant
         if not (isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant)):
             fail("division is allowed only between integer literals")
@@ -172,21 +118,34 @@ def _compile(node: ast.expr, names: dict[str, int], text: str, power: int = 1):
         if node.right.value == 0:
             fail("division by zero")
         value = Fraction(node.left.value, node.right.value)
-        return 0, value.denominator, lambda q: value.numerator
-    if isinstance(node.op, ast.Pow):
+        return 0, value.denominator, ast.Constant(value.numerator)
+    elif isinstance(node.op, ast.Pow):
         exponent = node.right.value if isinstance(node.right, ast.Constant) else None
         if not (isinstance(exponent, int) and not isinstance(exponent, bool) and exponent >= 0):
             fail("exponents must be nonnegative integer literals")
         power *= max(exponent, 1)  # x^0 is checked as x
         if power > MAX_EXPONENT:
             fail(f"exponent {power} is over the cap of {MAX_EXPONENT}")
-        degree, scale, bind = _compile(node.left, names, text, power)
+        degree, scale, expr = _compile(node.left, names, text, power)
         if exponent == 0:
-            return 0, 1, lambda q: 1
-        if exponent == 1:
-            return degree, scale, bind
-        return degree * exponent, scale ** exponent, lambda q: _power(bind(q), exponent)
-    fail(f"operator {type(node.op).__name__} is not allowed")
+            return 0, 1, ast.Constant(1)
+        if exponent > 1:
+            degree, scale = degree * exponent, scale ** exponent
+            expr = ast.BinOp(expr, ast.Pow(), ast.Constant(exponent))
+    else:
+        fail(f"operator {type(node.op).__name__} is not allowed")
+    if degree == 0 and not isinstance(expr, ast.Constant):
+        # no variable: Python's compiler folds only small ints, so fold here
+        expr = ast.Constant(_kernel(expr)((), 1))
+    return degree, scale, expr
+
+
+def _kernel(expr: ast.expr) -> Callable[[tuple[int, ...], int], int]:
+    """lambda X, q: expr, compiled from the tree: a literal may be too long for str()."""
+    tree = ast.parse("lambda X, q: 0", mode="eval")
+    tree.body.body = expr
+    return eval(compile(ast.fix_missing_locations(tree), "<polynomial>", "eval"),
+                {"__builtins__": {}})
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
@@ -210,7 +169,8 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
         raise UnparsablePolynomial(f"{text!r}: {e.msg}") from None
     names = {f"x{i + 1}": i for i in range(nvars)}
     names.update(zip("xyzw", range(nvars)))
-    return Polynomial(text, nvars, *_compile(tree, names, text))
+    degree, scale, expr = _compile(tree, names, text)
+    return Polynomial(text, nvars, degree, scale, _kernel(expr))
 
 
 def triangulate_variety(polys: Sequence[Union[str, Polynomial]],
@@ -247,16 +207,16 @@ def triangulate_variety(polys: Sequence[Union[str, Polynomial]],
     grid = kuhn_grid(d, cells, periodic=periodic,
                      origin=[lo for lo, _ in box], step=step)
     # the grid numbers its lattice points in product order; over the common
-    # denominator q of every coordinate, one range of numerators per axis
-    # gives every point
+    # denominator q, one range of numerators per axis gives every point
     q = lcm(step.denominator, *(lo.denominator for lo, _ in box))
     stride = int(step * q)
     axes = [range(int(lo * q), int(lo * q) + (c if periodic else c + 1) * stride, stride)
             for (lo, _), c in zip(box, cells)]
     values = []
     for p in parsed:
-        fn, denominator = p._kernel(q)
-        values.append([Fraction(x, denominator) for x in map(fn, product(*axes))])
+        denominator = q ** p._degree * p._scale
+        values.append([Fraction(x, denominator)
+                        for x in map(p._kernel, product(*axes), repeat(q))])
 
     return sard_pipeline(grid, values, [Fraction(0)] * len(parsed), budget=budget,
                          perturb=True)

@@ -368,6 +368,31 @@ def test_variety_grid_over_the_cap_exits_4(capsys):
     assert "variety grid: over the cap" in rep["error"]["message"]
 
 
+# rationals whose "p/q" would pass the 4,300 digits that str() of an int
+# allows: a perturbed level with a 6,413-digit denominator, and the means of
+# two values with 2,502-digit denominators
+LONG_LEVEL_POLY = "(1/N*x)^64-(1/N)^64".replace("N", "7" * 100)
+LONG_MEANS = ["1/" + "3" * 2500 + "31", "1/" + "7" * 2500 + "79", "0"]
+
+
+def test_a_level_too_long_to_write_exits_4(capsys):
+    code, rep = run(capsys, "variety", "--poly", LONG_LEVEL_POLY, "--domain", "-2,2",
+                    "--step", "1/2")
+    assert code == 4 and rep["error"]["type"] == "InputError"
+    assert "cannot write a rational" in rep["error"]["message"]
+
+
+def test_a_document_too_long_to_write_exits_4(capsys, tmp_path):
+    # the edge means of refine's extended function have 5,004-digit denominators
+    doc, out = tmp_path / "doc.json", tmp_path / "refined.json"
+    doc.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                               "values": {"f": LONG_MEANS}}))
+    code, rep = run(capsys, "refine", "--graph", str(doc), "--out", str(out))
+    assert code == 4 and rep["error"]["type"] == "InputError"
+    assert "cannot write a rational" in rep["error"]["message"]
+    assert not out.exists()  # the document is written whole or not at all
+
+
 def test_listing_commands_read_the_f_vector_of_the_listed_complex(capsys, monkeypatch):
     from levelgraph import cli, core
     loaded = []

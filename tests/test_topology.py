@@ -24,6 +24,8 @@ Validates:
       removal search runs far deeper than the Python stack it is given
     - the worklist peel makes the spends and memo writes of the depth-first
       search it replaces, and large spheres keep their reports
+    - a peel whose first start an earlier peel memoized True returns from
+      the memo
 """
 
 import json
@@ -761,6 +763,42 @@ def _logged_run(monkeypatch, peel, check, g, args, budget, planted=None):
 REPLAY_BUDGETS = (0, 1, 7, 60, 3000)
 
 
+def _memoized_start_graph():
+    """A graph in which a peel's first start is memoized True by an earlier peel.
+
+    K is S = suspension(icosahedron()) less its least-degree vertex y0,
+    relabelled to 4..16.  y = 2 and y' = 3 are each joined to the image of
+    S(y0); u = 0 is joined to y' and all of K, v = 1 to y and all of K.  The
+    peel of S(0) finds K contractible, and the first start of S(1)'s peel,
+    S(1) - y, is K again.
+    """
+    s = suspension(icosahedron())
+    y0 = min(range(s.n), key=s.degree)
+    image = {x: i + 4 for i, x in enumerate(x for x in range(s.n) if x != y0)}
+    k = list(image.values())
+    edges = [(image[a], image[b]) for a, b in s.edges() if y0 not in (a, b)]
+    edges += [(y, image[x]) for y in (2, 3) for x in s.neighbors[y0]]
+    edges += [(0, 3), (1, 2)] + [(u, x) for u in (0, 1) for x in k]
+    return SimplicialGraph(17, edges)
+
+
+def test_a_peel_start_memoized_true_is_a_lookup(monkeypatch):
+    """The peel of S(1) returns True from the memo entry that the peel of
+    S(0) wrote for K, before any walk; the report is the one of the search."""
+    found = []
+    peel = topology._peel
+
+    def recording_peel(base, starts, budget):
+        starts = list(starts)  # vertex sets in a fixed order; listing them spends nothing
+        if starts and budget.memo.get(starts[0]) is True:
+            found.append(starts[0])
+        return peel(base, iter(starts), budget)
+    monkeypatch.setattr(topology, "_peel", recording_peel)
+    report = is_dgraph(_memoized_start_graph(), 4)
+    assert vars(report) == {"verdict": "no", "dimension": None, "witness": 2, "expansions": 39}
+    assert frozenset(range(4, 17)) in found
+
+
 def _replay_cases():
     """(check, graph, args) for every call that reaches the peel: is_contractible,
     is_sphere for d >= 3 and is_dgraph for d = 4."""
@@ -774,7 +812,8 @@ def _replay_cases():
         yield is_contractible, g, ()
         yield is_sphere, g, (3,)
     for g in (cross_polytope(4), suspension(sixteen_cell()), suspension(suspension(icosahedron())),
-              join(cycle(4), cycle(5)), barycentric(cross_polytope(4)).graph):
+              join(cycle(4), cycle(5)), barycentric(cross_polytope(4)).graph,
+              _memoized_start_graph()):
         yield is_sphere, g, (4,)
         yield is_dgraph, g, (4,)
 

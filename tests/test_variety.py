@@ -16,6 +16,8 @@ Validates:
       evaluator at every point give, bit for bit
     - the grid's vertex count and edge bound are capped before it is built
     - a polynomial's node count and exponent are capped when it is parsed
+    - a kernel is a function of X and q alone that looks up no global or
+      builtin name, and holds literals too long for str()
 """
 
 import ast
@@ -114,6 +116,12 @@ def _random_expression(rng, depth, nvars):
     return f"({lt}){kind}({rt})", lambda p: op(lf(p), rf(p))
 
 
+def assert_kernel_reads_only_its_arguments(p):
+    code = p._kernel.__code__
+    assert code.co_varnames[:code.co_argcount] == ("X", "q")
+    assert code.co_names == ()  # no global, builtin or attribute name is looked up
+
+
 def test_compiled_evaluation_matches_fraction_arithmetic():
     rng = random.Random(20150)
     seen = set()
@@ -125,6 +133,7 @@ def test_compiled_evaluation_matches_fraction_arithmetic():
         seen.update(c for c in "+-*^/xyzw#" if c in marked)
         seen.update(["^0"] if "^0" in text else [])
         p = parse_polynomial(text, nvars)
+        assert_kernel_reads_only_its_arguments(p)
         oracle = fraction_polynomial(text, nvars)
         for _ in range(5):
             point = [Fraction(rng.randint(-50, 50), rng.randint(1, 20)) for _ in range(nvars)]
@@ -372,8 +381,35 @@ OVER = f"exponent {MAX_EXPONENT + 1} is over the cap of {MAX_EXPONENT}"
         "nodes-over-cap", "sum-at-cap", "sum-over-cap", "sum-past-recursion-limit"])
 def test_polynomial_caps(text, value, reason):
     if reason is None:
-        assert parse_polynomial(text, 1).evaluate([Fraction(2)]) == value
+        p = parse_polynomial(text, 1)
+        assert_kernel_reads_only_its_arguments(p)
+        assert p.evaluate([Fraction(2)]) == value
         return
     with pytest.raises(UnparsablePolynomial) as e:
         parse_polynomial(text, 1)
     assert str(e.value).endswith(reason)
+
+
+# N = 7...7 (100 digits): N^64 has 6,394 digits, over the 4,300 that str()
+# of an int allows.  The first is the CLI's long-level case, whose kernel
+# holds no long literal; in the second x^64 is scaled by N^64 in the kernel,
+# and in the third N^64 is folded to one literal at parse time, not
+# computed at each point.
+LONG = "7" * 100
+
+
+@pytest.mark.parametrize("text, long_literal", [
+    (f"(1/{LONG}*x)^64-(1/{LONG})^64", False),
+    (f"(1/{LONG}*x)^64-x^64+x", True),
+    (f"{LONG}^64*x-1", True),
+])
+def test_kernels_hold_literals_too_long_for_text(text, long_literal):
+    p = parse_polynomial(text, 1)
+    assert_kernel_reads_only_its_arguments(p)
+    literals = [c for c in p._kernel.__code__.co_consts if type(c) is int]
+    assert (max(map(abs, literals)) > 10 ** 4300) == long_literal
+    oracle = fraction_polynomial(text, 1)
+    rng = random.Random(30)
+    for _ in range(20):
+        point = [Fraction(rng.randint(-50, 50), rng.randint(1, 20))]
+        assert p.evaluate(point) == oracle(point)
